@@ -18,6 +18,7 @@ from .circle import (
     monodromy,
     ray_singer_torsion,
     refined_torsion,
+    torsion_ldet,
     trs_comparison,
 )
 from .determinant import (

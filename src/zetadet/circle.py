@@ -30,7 +30,7 @@ from .config import (
     MIN_ODE_STEPS,
     Tolerances,
 )
-from .determinant import pick_det_eta_cut
+from .determinant import LDetResult, ldet, pick_det_eta_cut
 from .errors import EigenFailureError, NonAcyclicError
 from .spectrum import (
     DirectSum,
@@ -141,8 +141,16 @@ def build_from_monodromy(
     return CircleModel(tuple(params))
 
 
-def _pick_theta(spec: Spectrum) -> CutAngle:
-    return pick_det_eta_cut(spec)
+def torsion_ldet(
+    model: CircleModel, tol: Tolerances = DEFAULT_TOLERANCES
+) -> LDetResult:
+    """The refined torsion alone: LDet of the even signature operator.
+
+    The cut is the one ``pick_det_eta_cut`` places for the lattice spectrum;
+    ``.ldet`` is the graded log-determinant and ``.det`` the torsion.
+    """
+    spec = model.spectrum()
+    return ldet(spec, pick_det_eta_cut(spec), tol)
 
 
 def refined_torsion(
@@ -151,33 +159,29 @@ def refined_torsion(
     """Graded determinant of the even signature operator, with cross-checks.
 
     The torsion is exp of the graded log-determinant computed directly from
-    the lattice spectrum at the chosen cut; xi and eta are computed from the
-    squared spectrum at the doubled cut and the report records the residual
-    of graded_ldet = xi - i*pi*eta.
+    the lattice spectrum at the chosen cut (``torsion_ldet``); xi and eta are
+    computed from the squared spectrum at the doubled cut and the report
+    records the residual of graded_ldet = xi - i*pi*eta.
     """
-    spec = model.spectrum()
-    cut = _pick_theta(spec)
-    cut2 = cut.doubled()
-
-    graded = -zeta_ds_at_zero(spec, cut, tol=tol)
-    torsion = cmath.exp(graded)
+    base = torsion_ldet(model, tol)
+    cut2 = base.theta.doubled()
 
     xi = 0.0 + 0.0j
     for a, m in model.log_params:
         xi += -0.5 * zeta_ds_at_zero(QuadLattice(a, m), cut2, tol=tol)
     eta = sum(eta_invariant(Lattice(a, m), tol) for a, m in model.log_params)
-    residual = abs(graded - (xi - 1j * _PI * eta))
+    residual = abs(base.ldet - (xi - 1j * _PI * eta))
 
     trs = ray_singer_torsion(model, tol)
     return TorsionReport(
-        torsion=torsion,
+        torsion=base.det,
         xi=xi,
         eta=eta,
-        graded_ldet=graded,
+        graded_ldet=base.ldet,
         ray_singer=trs,
         im_eta=eta.imag,
         identity_residual=residual,
-        theta=cut,
+        theta=base.theta,
     )
 
 
@@ -206,10 +210,16 @@ def model_arg_class(model: CircleModel) -> complex:
 
 
 def trs_comparison(
-    model: CircleModel, tol: Tolerances = DEFAULT_TOLERANCES
+    model: CircleModel,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    report: TorsionReport | None = None,
 ) -> TrsReport:
-    """Residuals of the torsion / Ray-Singer comparison identities."""
-    report = refined_torsion(model, tol)
+    """Residuals of the torsion / Ray-Singer comparison identities.
+
+    ``report`` is the model's ``refined_torsion`` when the caller has it.
+    """
+    if report is None:
+        report = refined_torsion(model, tol)
     t_abs = abs(report.torsion)
     trs = report.ray_singer
     r_log = abs(math.log(t_abs / trs) - _PI * report.im_eta)
@@ -386,7 +396,7 @@ def holomorphy_scan(
 
     if fn is None:
         def fn(a: complex) -> complex:
-            return refined_torsion(build_rank1(a, tol), tol).torsion
+            return torsion_ldet(build_rank1(a, tol), tol).det
 
     def sample(axis_lo, axis_hi):
         if grid == 1:

@@ -17,10 +17,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -74,10 +72,24 @@ def _fail(code: str, msg: str):
 
 def _as_complex(obj, where: str) -> complex:
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    _fail("bad-complex", f"{where}: complex numbers are {{re, im}} objects")
+        z = complex(obj)
+    elif isinstance(obj, dict) and set(obj) <= {"re", "im"}:
+        try:
+            z = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        except (TypeError, ValueError):
+            _fail("bad-complex", f"{where}: re and im are numbers")
+    else:
+        _fail("bad-complex", f"{where}: complex numbers are {{re, im}} objects")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        _fail("bad-complex", f"{where}: re and im are finite numbers")
+    return z
+
+
+def _as_multiplicity(obj, where: str) -> int:
+    integral = isinstance(obj, int) or (isinstance(obj, float) and obj.is_integer())
+    if isinstance(obj, bool) or not integral or obj < 1:
+        _fail("bad-model", f"{where} is a positive integer")
+    return int(obj)
 
 
 def _c2j(z: complex) -> dict:
@@ -131,11 +143,11 @@ def _build_spectrum(model: dict) -> Spectrum:
         pairs = []
         for e in evs:
             v = _as_complex({k: e[k] for k in ("re", "im") if k in e}, "eigenvalue")
-            pairs.append(Eigenvalue(v, int(e.get("multiplicity", 1))))
+            pairs.append(Eigenvalue(v, _as_multiplicity(e.get("multiplicity", 1), "multiplicity")))
         return Finite(tuple(pairs))
     if kind == "lattice":
         a = _as_complex(model.get("a"), "lattice a")
-        return Lattice(a, int(model.get("mu", 1)))
+        return Lattice(a, _as_multiplicity(model.get("mu", 1), "lattice mu"))
     if kind in ("rank1", "monodromy"):
         return _build_circle_model(model).spectrum()
     _fail("bad-model", f"unknown spectrum model type {kind!r}")
@@ -236,7 +248,7 @@ def _scan_row(a: complex, h: float, tol: Tolerances) -> dict:
         report = circ.refined_torsion(model, tol)
 
         def torsion_at(z: complex) -> complex:
-            return circ.refined_torsion(circ.build_rank1(z, tol), tol).torsion
+            return circ.torsion_ldet(circ.build_rank1(z, tol), tol).det
 
         d_re = (torsion_at(a + h) - torsion_at(a - h)) / (2.0 * h)
         d_im = (torsion_at(a + 1j * h) - torsion_at(a - 1j * h)) / (2.0 * h)
@@ -256,15 +268,11 @@ def _scan_row(a: complex, h: float, tol: Tolerances) -> dict:
     return row
 
 
-def scan_parallel(cfg: JobConfig) -> list[dict]:
+def scan_rows(cfg: JobConfig) -> list[dict]:
     """Scan rows in deterministic grid order; failures are per-row."""
     points = _scan_grid(cfg.params)
     h = float(cfg.params.get("h", 1e-4))
-    workers = max(1, int(os.environ.get("ZETADET_THREADS", "1")))
-    if workers == 1 or len(points) <= 1:
-        return [_scan_row(a, h, cfg.tolerances) for a in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda a: _scan_row(a, h, cfg.tolerances), points))
+    return [_scan_row(a, h, cfg.tolerances) for a in points]
 
 
 def run(cfg: JobConfig) -> dict:
@@ -309,7 +317,7 @@ def run(cfg: JobConfig) -> dict:
         if cfg.model.get("type") in ("rank1", "monodromy"):
             model = _build_circle_model(cfg.model)
             report = circ.refined_torsion(model, tol)
-            trs = circ.trs_comparison(model, tol)
+            trs = circ.trs_comparison(model, tol, report)
             results.update(
                 torsion=_c2j(report.torsion),
                 raySinger=report.ray_singer,
@@ -344,7 +352,7 @@ def run(cfg: JobConfig) -> dict:
                     )
                 )
     elif cfg.command == "scan":
-        rows = scan_parallel(cfg)
+        rows = scan_rows(cfg)
         results["rowCount"] = len(rows)
     elif cfg.command == "monodromy":
         family = _build_family(cfg.params.get("family", {}))

@@ -57,8 +57,3 @@ ARG_PAIRING_SIGN = -1.0
 def em_num_terms(s: complex, q: complex) -> int:
     """Shift length for the Euler-Maclaurin evaluation of the Hurwitz zeta."""
     return max(EM_MIN_TERMS, math.ceil(10.0 + abs(s.imag) + abs(q)))
-
-
-def lattice_scan_radius(a: complex) -> float:
-    """Default explicit-scan radius for certifying an integer-lattice family."""
-    return 10.0 * (2.0 + abs(a))

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .complexcut import CutAngle, Sector, ang_dist, as_cut, phase
+from .complexcut import CutAngle, Sector, as_cut, phase
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     HypothesisViolatedError,
@@ -111,11 +111,11 @@ def pick_det_eta_cut(spec: Spectrum) -> CutAngle:
 
     Places the cut halfway between -pi/2 and the lowest eigenvalue direction
     in (-pi/2, 0), fourth-quadrant directions and second-quadrant directions
-    (shifted by pi) alike.
+    (shifted by pi) alike.  The lowest direction belongs to an eigenvalue
+    next to the imaginary axis, so only those are examined.
     """
-    radius = spec.default_scan_radius()
     upper = 0.0
-    for v, m in spec.points_within(radius):
+    for v, m in spec.points_near((-_PI / 2.0, _PI / 2.0)):
         if m <= 0:
             continue
         d = phase(v)
@@ -136,18 +136,17 @@ def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
         Sector(-_PI / 2.0, theta_val, hi_closed=True),
         Sector(_PI / 2.0, theta_val + _PI, hi_closed=True),
     )
-    radius = spec.default_scan_radius()
     for sector in sectors:
         for d in spec.tail_directions():
-            # lattice tails point along the real axis and never enter these
-            # sectors, but beyond the scan radius they deviate by a bounded angle
-            dev = spec.tail_deviation(radius)
-            for side in (d - dev, d + dev):
-                if sector.contains_direction(side):
-                    raise HypothesisViolatedError(sector, f"tail near {d}")
-        for v, m in spec.points_within(radius):
-            if m > 0 and sector.contains(v):
-                raise HypothesisViolatedError(sector, v)
+            if sector.contains_direction(d):
+                raise HypothesisViolatedError(sector, f"tail near {d}")
+    # one pass: a finite spectrum is enumerated once for both sectors
+    bounds = (-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)
+    for v, m in spec.points_near(bounds):
+        if m > 0:
+            for sector in sectors:
+                if sector.contains(v):
+                    raise HypothesisViolatedError(sector, v)
 
 
 def verify_det_eta(
@@ -243,8 +242,7 @@ def angle_shift_count(
     certify_agmon(spec, c1, tol.agmon_epsilon, tol=tol)
     certify_agmon(spec, c2, tol.agmon_epsilon, tol=tol)
 
-    tails = spec.tail_directions()
-    for d in tails:
+    for d in spec.tail_directions():
         t = lo + math.fmod(d - lo, 2.0 * _PI)
         if t < lo:
             t += 2.0 * _PI
@@ -252,20 +250,8 @@ def angle_shift_count(
             raise InfiniteCrossingError(
                 f"lattice tail direction {d} lies in the swept sector"
             )
-    radius = spec.default_scan_radius()
-    if tails:
-        # grow the scan until the tail bands provably clear the sector
-        clearance = min(
-            min(ang_dist(d, lo), ang_dist(d, hi)) for d in tails
-        )
-        while spec.tail_deviation(radius) >= clearance:
-            radius *= 2.0
-            if radius > 1e9:
-                raise InfiniteCrossingError(
-                    "cannot separate the lattice tails from the swept sector"
-                )
     count = 0
-    for v, m in spec.points_within(radius):
+    for v, m in spec.points_near((lo, hi)):
         d = phase(v)
         t = lo + math.fmod(d - lo, 2.0 * _PI)
         if t < lo:

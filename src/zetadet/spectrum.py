@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .complexcut import CutAngle, ang_dist, as_cut, phase
-from .config import DEFAULT_TOLERANCES, Tolerances, lattice_scan_radius
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NotAgmonError
 
 _PI = math.pi
@@ -41,6 +41,27 @@ def _normalize_log_param(a: complex) -> Tuple[complex, int]:
     """Shift a by an integer so its real part lies in (0, 1]."""
     n0 = 1 - math.ceil(a.real)
     return a + n0, n0
+
+
+def _line_window(a: complex, directions: Iterable[float]) -> range:
+    """Indices n of the points a + n next to where the rays meet Im z = Im a.
+
+    Along the line the argument of a + n is monotone in n, so for each ray
+    that meets the line at x the points nearest it in angle are the two
+    indices next to x - Re a.  The window spans every crossing with one spare
+    index on each side, against rounding in x; it is empty when no ray meets
+    the line.
+    """
+    ks = []
+    for d in directions:
+        s = math.sin(d)
+        if s * a.imag > 0.0:
+            x = a.imag * math.cos(d) / s
+            if math.isfinite(x):
+                ks.append(math.floor(x - a.real))
+    if not ks:
+        return range(0)
+    return range(min(ks) - 1, max(ks) + 3)
 
 
 @dataclass(frozen=True)
@@ -68,11 +89,19 @@ class Spectrum:
         """Accumulation directions of the spectrum at infinity."""
         raise NotImplementedError
 
-    def default_scan_radius(self) -> float:
-        raise NotImplementedError
+    def points_near(
+        self, directions: Sequence[float]
+    ) -> Iterator[Tuple[complex, int]]:
+        """The (value, multiplicity) pairs that decide angular questions about rays.
 
-    def tail_deviation(self, radius: float) -> float:
-        """Bound on the angular deviation from the tail directions beyond radius."""
+        The result holds, for each ray at one of ``directions``, the nearest
+        eigenvalues in angle on either side of it, and every eigenvalue lying
+        between two of the rays.  Every eigenvalue left out lies farther from
+        the rays, toward a tail direction.  With ``tail_directions()`` this
+        decides exactly whether a ray is free of eigenvalues, which one lies
+        nearest it, and which ones a sector bounded by the rays holds.
+        Finite spectra yield every eigenvalue.
+        """
         raise NotImplementedError
 
 
@@ -108,11 +137,8 @@ class Finite(Spectrum):
     def tail_directions(self):
         return ()
 
-    def default_scan_radius(self):
-        return max((abs(e.value) for e in self.eigenvalues), default=1.0) + 1.0
-
-    def tail_deviation(self, radius):
-        return 0.0
+    def points_near(self, directions):
+        return self.points_within(math.inf)
 
 
 @dataclass(frozen=True)
@@ -143,11 +169,12 @@ class Lattice(Spectrum):
     def tail_directions(self):
         return (0.0, _PI)
 
-    def default_scan_radius(self):
-        return lattice_scan_radius(self.a)
+    def index_window(self, directions) -> range:
+        return _line_window(self.a, directions)
 
-    def tail_deviation(self, radius):
-        return math.asin(min(1.0, abs(self.a.imag) / max(radius, 1.0)))
+    def points_near(self, directions):
+        for n in self.index_window(directions):
+            yield self.value_at(n), self.mu
 
 
 @dataclass(frozen=True)
@@ -184,13 +211,15 @@ class QuadLattice(Spectrum):
     def tail_directions(self):
         return (0.0,)
 
-    def default_scan_radius(self):
-        r = lattice_scan_radius(self.a)
-        return r * r
+    def index_window(self, directions) -> range:
+        # (a + n)^2 lies on the ray at phi exactly when a + n lies on one of
+        # its square-root rays, at phi/2 and phi/2 + pi
+        roots = [r for d in directions for r in (0.5 * d, 0.5 * d + _PI)]
+        return _line_window(self.a, roots)
 
-    def tail_deviation(self, radius):
-        r = math.sqrt(max(radius, 1.0))
-        return 2.0 * math.asin(min(1.0, abs(self.a.imag) / r))
+    def points_near(self, directions):
+        for n in self.index_window(directions):
+            yield self.value_at(n), self.mu
 
 
 @dataclass(frozen=True)
@@ -223,12 +252,9 @@ class HermQuadLattice(Spectrum):
     def tail_directions(self):
         return (0.0,)
 
-    def default_scan_radius(self):
-        r = lattice_scan_radius(self.a)
-        return r * r
-
-    def tail_deviation(self, radius):
-        return 0.0
+    def points_near(self, directions):
+        # every eigenvalue lies on the tail direction itself
+        return iter(())
 
 
 @dataclass(frozen=True)
@@ -250,11 +276,9 @@ class DirectSum(Spectrum):
             dirs.extend(p.tail_directions())
         return tuple(sorted(set(dirs)))
 
-    def default_scan_radius(self):
-        return max(p.default_scan_radius() for p in self.parts)
-
-    def tail_deviation(self, radius):
-        return max(p.tail_deviation(radius) for p in self.parts)
+    def points_near(self, directions):
+        for p in self.parts:
+            yield from p.points_near(directions)
 
 
 @dataclass(frozen=True)
@@ -327,11 +351,23 @@ class Restricted(Spectrum):
     def tail_directions(self):
         return self.base.tail_directions()
 
-    def default_scan_radius(self):
-        return self.base.default_scan_radius()
-
-    def tail_deviation(self, radius):
-        return self.base.tail_deviation(radius)
+    def points_near(self, directions):
+        if isinstance(self.base, Finite):
+            yield from self.points_within(math.inf)
+            return
+        window = self.base.index_window(directions)
+        if not window:
+            return
+        ov = self.overrides()
+        mu = self.base.mu
+        lo, hi = window.start, window.stop - 1
+        # removed eigenvalues decide nothing: walk outward to the nearest kept one
+        while ov.get(lo, mu) == 0:
+            lo -= 1
+        while ov.get(hi, mu) == 0:
+            hi += 1
+        for n in range(lo, hi + 1):
+            yield self.base.value_at(n), ov.get(n, mu)
 
 
 @dataclass(frozen=True)
@@ -356,40 +392,35 @@ class GradedSpectrum:
 class AgmonCertificate:
     theta: CutAngle
     epsilon: float
-    scan_radius: float
 
 
 def certify_agmon(
     spec: Spectrum,
     theta,
     epsilon: float,
-    scan_radius: float | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> AgmonCertificate:
     """Certify that no eigenvalue direction is within ``epsilon`` of the cut.
 
     Finite spectra are checked exhaustively.  Lattice-type spectra are checked
-    explicitly up to ``scan_radius`` and their tails are covered by the
-    accumulation directions plus a conservative angular-deviation bound.
+    exactly: their tail directions directly, their points at the few indices
+    ``points_near`` names next to where the cut crosses them.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     cut = as_cut(theta)
     th = cut.normalized
-    if scan_radius is None:
-        scan_radius = spec.default_scan_radius()
-    dev = spec.tail_deviation(scan_radius)
     for d in spec.tail_directions():
-        if ang_dist(th, d) <= epsilon + dev:
+        if ang_dist(th, d) <= epsilon:
             raise NotAgmonError(
                 message=f"lattice tail direction {d} approaches the cut at {th}"
             )
-    for value, m in spec.points_within(scan_radius):
+    for value, m in spec.points_near((th,)):
         if m <= 0:
             continue
         if ang_dist(phase(value), th) <= epsilon:
             raise NotAgmonError(witness=value)
-    return AgmonCertificate(cut, epsilon, scan_radius)
+    return AgmonCertificate(cut, epsilon)
 
 
 def imaginary_axis_counts(

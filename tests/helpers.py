@@ -6,8 +6,16 @@ import cmath
 import math
 import random
 
-from zetadet import Eigenvalue, Finite
-from zetadet.complexcut import ang_dist
+from zetadet import (
+    DirectSum,
+    Eigenvalue,
+    Finite,
+    HermQuadLattice,
+    Lattice,
+    QuadLattice,
+    Restricted,
+)
+from zetadet.complexcut import ang_dist, phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,9 +92,13 @@ def random_symmetric_spectrum(rng: random.Random, m_minus: int):
     return Finite(tuple(evs))
 
 
-def pick_agmon_angle(spec, lo: float, hi: float, min_gap: float = 1e-3) -> float:
-    """Angle in (lo, hi) maximizing the distance to all eigenvalue directions."""
-    radius = spec.default_scan_radius()
+def pick_agmon_angle(
+    spec, lo: float, hi: float, radius: float, min_gap: float = 1e-3
+) -> float:
+    """Angle in (lo, hi) maximizing the distance to the eigenvalue directions.
+
+    Only eigenvalues with modulus at most ``radius`` are considered.
+    """
     dirs = sorted(
         cmath.phase(v) for v, m in spec.points_within(radius) if m > 0
     )
@@ -101,6 +113,50 @@ def pick_agmon_angle(spec, lo: float, hi: float, min_gap: float = 1e-3) -> float
     if best is None or best_gap < min_gap:
         raise AssertionError("could not find an Agmon angle in the window")
     return best
+
+
+def tail_angle_bound(spec, radius: float) -> float:
+    """Largest angle between a tail direction and an eigenvalue beyond ``radius``.
+
+    Valid for radii beyond every finite eigenvalue: a + n with |a + n| >= R is
+    within asin(|Im a| / R) of the real axis, and its square within twice the
+    angle of its root.
+    """
+    if isinstance(spec, DirectSum):
+        return max(tail_angle_bound(p, radius) for p in spec.parts)
+    if isinstance(spec, Restricted):
+        return tail_angle_bound(spec.base, radius)
+    if isinstance(spec, Lattice):
+        return math.asin(min(1.0, abs(spec.a.imag) / radius))
+    if isinstance(spec, QuadLattice):
+        return 2.0 * math.asin(min(1.0, abs(spec.a.imag) / math.sqrt(radius)))
+    # HermQuadLattice lies on its tail direction; Finite ends inside the radius
+    assert isinstance(spec, (Finite, HermQuadLattice))
+    return 0.0
+
+
+def clear_radius(spec, clearance: float, start: float = 16.0, cap: float = 1e5):
+    """A radius beyond which every eigenvalue is within ``clearance`` of a tail.
+
+    None when that radius exceeds ``cap``.
+    """
+    radius = start
+    while tail_angle_bound(spec, radius) >= clearance:
+        radius *= 2.0
+        if radius > cap:
+            return None
+    return radius
+
+
+def brute_is_agmon(spec, theta: float, epsilon: float, radius: float) -> bool:
+    """Exhaustive Agmon test; exact when the tails clear the cut at ``radius``."""
+    if any(ang_dist(theta, d) <= epsilon for d in spec.tail_directions()):
+        return False
+    return all(
+        ang_dist(phase(v), theta) > epsilon
+        for v, m in spec.points_within(radius)
+        if m > 0
+    )
 
 
 def random_invertible(rng: random.Random, n: int, max_cond: float = 50.0):

@@ -133,8 +133,8 @@ def test_criterion_06_angle_independence():
             lo = rng.uniform(-PI, PI - 0.2)
             hi = rng.uniform(lo + 0.05, PI)
             try:
-                th1 = pick_agmon_angle(spec, lo, lo + 0.15)
-                th2 = pick_agmon_angle(spec, hi - 0.15, hi)
+                th1 = pick_agmon_angle(spec, lo, lo + 0.15, radius=4.0)
+                th2 = pick_agmon_angle(spec, hi - 0.15, hi, radius=4.0)
             except AssertionError:
                 continue
             k = zd.angle_shift_count(spec, th1, th2)
@@ -235,7 +235,7 @@ def test_criterion_11_symmetric_spectra():
     for i in range(100):
         m_minus = (0, 1, 2)[i % 3]
         spec = random_symmetric_spectrum(rng, m_minus)
-        theta = pick_agmon_angle(spec, -PI / 2 + 0.01, -0.01)
+        theta = pick_agmon_angle(spec, -PI / 2 + 0.01, -0.01, radius=4.0)
         rep = zd.symmetric_spectrum_det(spec, theta)
         assert rep.m_minus == m_minus
         seen.add(m_minus)

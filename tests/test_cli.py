@@ -10,7 +10,7 @@ from zetadet.cli import (
     render_csv,
     render_json,
     run,
-    scan_parallel,
+    scan_rows,
 )
 from zetadet.errors import SchemaError
 
@@ -150,7 +150,7 @@ class TestScan:
                 }
             },
         )
-        rows = scan_parallel(cfg)
+        rows = scan_rows(cfg)
         assert [r["a_re"] for r in rows] == pytest.approx([0.3, 0.5, 0.7])
         assert all(r["status"] == "ok" for r in rows)
 
@@ -168,7 +168,7 @@ class TestScan:
                 }
             },
         )
-        for row in scan_parallel(cfg):
+        for row in scan_rows(cfg):
             expected = 2 * abs(math.sin(PI * row["a_re"]))
             assert row["t_abs"] == pytest.approx(expected, abs=1e-8)
 
@@ -204,29 +204,10 @@ class TestScan:
                 }
             },
         )
-        rows = scan_parallel(cfg)
+        rows = scan_rows(cfg)
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"] == "NonAcyclic"
         assert rows[1]["t_abs"] is None
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        cfg = _job(
-            "scan",
-            params={
-                "grid": {
-                    "reStart": 0.25,
-                    "reStop": 0.75,
-                    "reSteps": 3,
-                    "imStart": -0.1,
-                    "imStop": 0.1,
-                    "imSteps": 2,
-                }
-            },
-        )
-        serial = scan_parallel(cfg)
-        monkeypatch.setenv("ZETADET_THREADS", "4")
-        parallel = scan_parallel(cfg)
-        assert serial == parallel
 
 
 class TestCliEntry:
@@ -358,6 +339,48 @@ class TestCliEntry:
         assert main(["eta", "--config", "-"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["eta"]["re"] == pytest.approx(0.25)
+
+
+    @pytest.mark.parametrize(
+        "a", ['{"re": NaN, "im": 0}', '{"re": 0.3, "im": Infinity}', '{"re": "x", "im": 0}']
+    )
+    def test_non_finite_complex_rejected(self, monkeypatch, capsys, a):
+        import io
+
+        payload = '{"command": "torsion", "model": {"type": "rank1", "a": %s}}' % a
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        assert main(["torsion", "--config", "-"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"]["code"] == "bad-complex"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {
+                "type": "finite",
+                "eigenvalues": [
+                    {"re": 1.0, "im": 0.5, "multiplicity": 1.5},
+                    {"re": 2.0, "im": -0.1},
+                ],
+            },
+            {"type": "lattice", "a": {"re": 0.3, "im": 0.1}, "mu": 1.5},
+            {"type": "lattice", "a": {"re": 0.3, "im": 0.1}, "mu": 0},
+            {"type": "lattice", "a": {"re": 0.3, "im": 0.1}, "mu": True},
+        ],
+    )
+    def test_non_integer_multiplicity_rejected(self, tmp_path, capsys, model):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"command": "verify", "model": model}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad-model"
+
+    def test_integral_float_multiplicity_accepted(self):
+        lattice = {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}
+        once = run(_job("det", {**lattice, "mu": 1}))["results"]["ldet"]
+        twice = run(_job("det", {**lattice, "mu": 2.0}))["results"]["ldet"]
+        assert twice["re"] == pytest.approx(2 * once["re"])
+        assert twice["im"] == pytest.approx(2 * once["im"])
 
 
 def test_render_json_is_sorted_and_compact():

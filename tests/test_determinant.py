@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zetadet import (
     CutAngle,
@@ -15,18 +16,30 @@ from zetadet import (
     Lattice,
     NotAgmonError,
     NotSymmetricError,
+    QuadLattice,
     Restricted,
     angle_shift_count,
     graded_ldet,
     ldet,
     ldet_restricted,
+    pick_det_eta_cut,
     symmetric_spectrum_det,
     verify_det_eta,
     verify_det_eta_upper,
     zeta_at_zero,
 )
+from zetadet.complexcut import Sector, phase
+from zetadet.determinant import _check_hypothesis_sectors
 
-from helpers import pick_agmon_angle, random_det_eta_spectrum, random_symmetric_spectrum
+from helpers import (
+    brute_is_agmon,
+    clear_radius,
+    pick_agmon_angle,
+    random_det_eta_spectrum,
+    random_symmetric_spectrum,
+    tail_angle_bound,
+)
+from test_spectrum import LATTICE_FAMILIES, LOG_PARAMS
 
 PI = math.pi
 
@@ -179,8 +192,8 @@ class TestAngleShift:
         rng = random.Random(55)
         for _ in range(20):
             spec = random_det_eta_spectrum(rng, -PI / 4)
-            th1 = pick_agmon_angle(spec, -3.0, -0.1)
-            th2 = pick_agmon_angle(spec, 0.1, 3.0)
+            th1 = pick_agmon_angle(spec, -3.0, -0.1, radius=4.0)
+            th2 = pick_agmon_angle(spec, 0.1, 3.0, radius=4.0)
             k = angle_shift_count(spec, th1, th2)
             l1 = ldet(spec, th1)
             l2 = ldet(spec, th2)
@@ -188,6 +201,97 @@ class TestAngleShift:
             diff = (l1.ldet - l2.ldet) if lo_first else (l2.ldet - l1.ldet)
             assert diff == pytest.approx(-2j * PI * k, abs=1e-10)
             assert abs(l1.det - l2.det) < 1e-10 * (1 + abs(l1.det))
+
+
+def _in_swept_sector(d: float, lo: float, hi: float) -> bool:
+    t = lo + math.fmod(d - lo, 2.0 * PI)
+    if t < lo:
+        t += 2.0 * PI
+    return t <= hi
+
+
+class TestExactLatticeGeometry:
+    """Cut picking, sector checks and crossing counts against exhaustive scans."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=LATTICE_FAMILIES)
+    def test_pick_det_eta_cut_matches_brute_force(self, spec):
+        radius = clear_radius(spec, 0.05)
+        assume(radius is not None)
+        upper = 0.0
+        for v, m in spec.points_within(radius):
+            d = phase(v)
+            if m > 0 and -PI / 2 < d < 0.0:
+                upper = min(upper, d)
+            elif m > 0 and PI / 2 < d < PI:
+                upper = min(upper, d - PI)
+        # beyond the radius every direction lies within the deviation of 0 or pi
+        dev = tail_angle_bound(spec, radius)
+        assume(dev == 0.0 or upper <= -dev)
+        if upper + PI / 2 < 1e-6:
+            with pytest.raises(NotAgmonError):
+                pick_det_eta_cut(spec)
+        else:
+            expected = CutAngle(0.5 * (upper - PI / 2))
+            assert pick_det_eta_cut(spec).normalized == expected.normalized
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=LATTICE_FAMILIES, theta=st.floats(-PI / 2 + 1e-3, -1e-3))
+    def test_sector_check_matches_brute_force(self, spec, theta):
+        # the tails lie |theta| away from both sectors
+        radius = clear_radius(spec, abs(theta))
+        assume(radius is not None)
+        sectors = (
+            Sector(-PI / 2, theta, hi_closed=True),
+            Sector(PI / 2, theta + PI, hi_closed=True),
+        )
+        expected = not any(
+            sec.contains(v)
+            for v, m in spec.points_within(radius)
+            if m > 0
+            for sec in sectors
+        )
+        try:
+            _check_hypothesis_sectors(spec, theta)
+        except HypothesisViolatedError:
+            assert not expected
+        else:
+            assert expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=LOG_PARAMS,
+        quad=st.booleans(),
+        sub=st.dictionaries(st.integers(-8, 8), st.integers(0, 1), max_size=6),
+        lower=st.booleans(),
+        ends=st.lists(st.floats(0.05, PI - 0.05), min_size=2, max_size=2),
+    )
+    def test_angle_shift_count_matches_brute_force(self, a, quad, sub, lower, ends):
+        # sweeps that keep 0.05 away from the tails: within one half-plane for
+        # a lattice, anywhere off the positive axis for a squared lattice
+        spec = Restricted(QuadLattice(a) if quad else Lattice(a), sub)
+        lo, hi = sorted(2.0 * t if quad else t for t in ends)
+        if lower:
+            shift = 2.0 * PI if quad else PI
+            lo, hi = lo - shift, hi - shift
+        radius = clear_radius(spec, 0.05)
+        assume(brute_is_agmon(spec, lo, 1e-9, radius) and brute_is_agmon(spec, hi, 1e-9, radius))
+        expected = sum(
+            m for v, m in spec.points_within(radius) if _in_swept_sector(phase(v), lo, hi)
+        )
+        assert angle_shift_count(spec, lo, hi) == expected
+
+    def test_tail_in_sweep_still_diverges(self):
+        with pytest.raises(InfiniteCrossingError):
+            angle_shift_count(QuadLattice(0.3 + 0.5j), -0.5, 0.5)
+
+    def test_cut_near_the_tail_of_an_upper_lattice(self):
+        # every eigenvalue lies in the upper half-plane, so the cut at -0.03 is
+        # Agmon; a tail-deviation bound at a fixed radius used to reject it
+        a = 0.3 + 1.5j
+        res = ldet(Lattice(a), -0.03)
+        expected = 1.0 - cmath.exp(2j * PI * a)
+        assert abs(res.det - expected) <= 1e-12 * abs(expected)
 
 
 class TestSymmetricSpectrumDet:
@@ -247,7 +351,7 @@ class TestSymmetricSpectrumDet:
         for _ in range(30):
             m_minus = rng.choice((0, 1, 2))
             spec = random_symmetric_spectrum(rng, m_minus)
-            theta = pick_agmon_angle(spec, -PI / 2 + 0.01, -0.01)
+            theta = pick_agmon_angle(spec, -PI / 2 + 0.01, -0.01, radius=4.0)
             rep = symmetric_spectrum_det(spec, theta)
             assert rep.m_minus == m_minus
             scale = 1.0 + abs(rep.ldet_result.det)

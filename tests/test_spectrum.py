@@ -3,11 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zetadet import (
     DirectSum,
     Eigenvalue,
     Finite,
+    HermQuadLattice,
     Lattice,
     NotAgmonError,
     QuadLattice,
@@ -18,8 +20,42 @@ from zetadet import (
     negate_spectrum,
     square_spectrum,
 )
+from zetadet.complexcut import ang_dist
+
+from helpers import brute_is_agmon, clear_radius
 
 PI = math.pi
+
+
+# lattice parameters with |Im a| <= 3, kept off the integers
+LOG_PARAMS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0)).filter(
+    lambda a: abs(a - round(a.real)) > 1e-3
+)
+
+
+@st.composite
+def _lattice_part(draw):
+    a = draw(LOG_PARAMS)
+    mu = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("lattice", "quad", "herm", "restricted")))
+    if kind == "lattice":
+        return Lattice(a, mu)
+    if kind == "quad":
+        return QuadLattice(a, mu)
+    if kind == "herm":
+        return HermQuadLattice(a, mu)
+    base = Lattice(a, mu) if draw(st.booleans()) else QuadLattice(a, mu)
+    sub = draw(st.dictionaries(st.integers(-8, 8), st.integers(0, mu), max_size=8))
+    return Restricted(base, sub)
+
+
+# Lattice, QuadLattice, HermQuadLattice, Restricted and DirectSum of them
+LATTICE_FAMILIES = st.one_of(
+    _lattice_part(),
+    st.lists(_lattice_part(), min_size=2, max_size=3).map(
+        lambda parts: DirectSum(tuple(parts))
+    ),
+)
 
 
 class TestEigenvalue:
@@ -73,6 +109,55 @@ class TestCertifyAgmon:
             # every smaller epsilon must certify as well
             certify_agmon(Lattice(a), -PI / 2, eps / 2)
             certify_agmon(Lattice(a), -PI / 2, eps / 7)
+
+
+class TestExactCertification:
+    """The closed-form certificate against an exhaustive scan past the tails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=LATTICE_FAMILIES,
+        theta=st.floats(-PI, PI),
+        epsilon=st.floats(1e-9, 0.6),
+    )
+    def test_agrees_with_brute_force(self, spec, theta, epsilon):
+        clearance = min(ang_dist(theta, d) for d in spec.tail_directions()) - epsilon
+        radius = clear_radius(spec, clearance) if clearance > 0.0 else 16.0
+        assume(radius is not None)
+        expected = brute_is_agmon(spec, theta, epsilon, radius)
+        try:
+            certify_agmon(spec, theta, epsilon)
+        except NotAgmonError:
+            assert not expected
+        else:
+            assert expected
+
+    def test_far_crossing_is_found(self):
+        # the ray at -0.01 meets Im z = -1 near Re z = 100, far outside any
+        # fixed scan radius; the eigenvalue there lies within 1e-4 of the cut
+        a = complex(0.5, -1.0)
+        theta = math.atan2(-1.0, 100.5)
+        with pytest.raises(NotAgmonError) as info:
+            certify_agmon(Lattice(a), theta + 5e-5, 1e-4)
+        assert info.value.witness == a + 100
+
+    def test_removed_eigenvalue_decides_nothing(self):
+        a = complex(0.5, -1.0)
+        theta = math.atan2(-1.0, 3.5)
+        with pytest.raises(NotAgmonError):
+            certify_agmon(Lattice(a), theta, 1e-6)
+        certify_agmon(Restricted(Lattice(a), {3: 0}), theta, 1e-6)
+
+    def test_nearest_kept_eigenvalue_past_a_removed_run(self):
+        # the cut points at 3.5 - 1j; indices 2..5 are removed, so the nearest
+        # eigenvalue is 6.5 - 1j, 0.126 away in angle
+        a = complex(0.5, -1.0)
+        spec = Restricted(Lattice(a), {2: 0, 3: 0, 4: 0, 5: 0})
+        theta = math.atan2(-1.0, 3.5)
+        with pytest.raises(NotAgmonError) as info:
+            certify_agmon(spec, theta, 0.13)
+        assert info.value.witness == a + 6
+        certify_agmon(spec, theta, 0.12)
 
 
 class TestImaginaryAxisCounts:
