@@ -28,7 +28,6 @@ from .determinant import (
     angle_shift_count,
     graded_ldet,
     ldet,
-    ldet_restricted,
     pick_det_eta_cut,
     symmetric_spectrum_det,
     verify_det_eta,
@@ -49,7 +48,6 @@ from .errors import (
     ZeroInputError,
     ZetaDetError,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .spectrum import (
     AgmonCertificate,
     DirectSum,
@@ -71,7 +69,6 @@ from .zetafun import (
     ZetaResult,
     eta_function,
     eta_invariant,
-    eta_invariant_restricted,
     hurwitz_zeta,
     hurwitz_zeta_ds0,
     spectral_zeta,

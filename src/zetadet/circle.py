@@ -366,6 +366,16 @@ def eta_variation_check(
     return abs(deriv - (-a_rate))
 
 
+def cr_residual(fn: Callable[[complex], complex], a: complex, h: float) -> float:
+    """|d/d(conj a)| of ``fn`` at ``a`` from central differences with step ``h``.
+
+    For a holomorphic map the result is pure discretization error.
+    """
+    d_re = (fn(a + h) - fn(a - h)) / (2.0 * h)
+    d_im = (fn(a + 1j * h) - fn(a - 1j * h)) / (2.0 * h)
+    return abs(0.5 * (d_re + 1j * d_im))
+
+
 @dataclass(frozen=True)
 class HolomorphyReport:
     max_cr_residual: float
@@ -381,14 +391,12 @@ def holomorphy_scan(
     tol: Tolerances = DEFAULT_TOLERANCES,
     fn: Callable[[complex], complex] | None = None,
 ) -> HolomorphyReport:
-    """Max |d/d(conj a)| of a -> T(a) over a rectangular grid.
+    """Max ``cr_residual`` of a -> T(a) over a rectangular grid.
 
-    Central differences in the real and imaginary directions approximate the
-    conjugate-derivative; for a holomorphic map the result is pure
-    discretization error.  ``fn`` replaces the torsion map when supplied.
+    ``fn`` replaces the torsion map when supplied.
     """
-    if h > CR_MAX_STEP:
-        raise ValueError(f"finite-difference step must be <= {CR_MAX_STEP}")
+    if not 0.0 < h <= CR_MAX_STEP:
+        raise ValueError(f"finite-difference step must lie in (0, {CR_MAX_STEP}]")
     re_lo, re_hi = re_range
     im_lo, im_hi = im_range
     if grid < 1:
@@ -410,9 +418,6 @@ def holomorphy_scan(
             a = complex(re, im)
             if dist_to_integers(a) < 0.05:
                 raise NonAcyclicError(f"grid point {a} too close to an integer")
-            d_re = (fn(a + h) - fn(a - h)) / (2.0 * h)
-            d_im = (fn(a + 1j * h) - fn(a - 1j * h)) / (2.0 * h)
-            dbar = 0.5 * (d_re + 1j * d_im)
-            max_res = max(max_res, abs(dbar))
+            max_res = max(max_res, cr_residual(fn, a, h))
             max_abs = max(max_abs, abs(fn(a)))
     return HolomorphyReport(max_res, max_abs, (grid, grid))

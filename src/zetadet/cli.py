@@ -26,7 +26,7 @@ import numpy as np
 
 from . import circle as circ
 from .complexcut import CutAngle
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import CR_MAX_STEP, DEFAULT_TOLERANCES, MIN_ODE_STEPS, Tolerances
 from .determinant import ldet, symmetric_spectrum_det, verify_det_eta, verify_det_eta_upper
 from .errors import SchemaError, ZetaDetError
 from .spectrum import (
@@ -70,26 +70,45 @@ def _fail(code: str, msg: str):
     raise SchemaError(code, msg)
 
 
-def _as_complex(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
-        z = complex(obj)
-    elif isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        try:
-            z = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        except (TypeError, ValueError):
-            _fail("bad-complex", f"{where}: re and im are numbers")
-    else:
-        _fail("bad-complex", f"{where}: complex numbers are {{re, im}} objects")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        _fail("bad-complex", f"{where}: re and im are finite numbers")
-    return z
+def _as_real(obj, code: str, where: str) -> float:
+    try:
+        x = math.nan if isinstance(obj, bool) or not isinstance(obj, (int, float)) else float(obj)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(code, f"{where} is a finite number")
+    return x
 
 
-def _as_multiplicity(obj, where: str) -> int:
+def _as_int(obj, code: str, where: str, least: int) -> int:
     integral = isinstance(obj, int) or (isinstance(obj, float) and obj.is_integer())
-    if isinstance(obj, bool) or not integral or obj < 1:
-        _fail("bad-model", f"{where} is a positive integer")
+    if isinstance(obj, bool) or not integral or obj < least:
+        _fail(code, f"{where} is an integer >= {least}")
     return int(obj)
+
+
+def _as_complex(obj, where: str) -> complex:
+    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
+        re = _as_real(obj.get("re", 0.0), "bad-complex", f"{where}: re")
+        return complex(re, _as_real(obj.get("im", 0.0), "bad-complex", f"{where}: im"))
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return complex(_as_real(obj, "bad-complex", where))
+    _fail("bad-complex", f"{where}: complex numbers are {{re, im}} objects")
+
+
+def _as_matrix(rows, code: str, where: str) -> np.ndarray:
+    square = isinstance(rows, list) and rows and all(
+        isinstance(row, list) and len(row) == len(rows) for row in rows
+    )
+    if not square:
+        _fail(code, f"{where} is a nonempty square list of rows")
+    return np.array([[_as_complex(x, f"{where} entry") for x in row] for row in rows], dtype=complex)
+
+
+def _as_tolerance(name: str, value):
+    if name == "merge_significant_digits":
+        return _as_int(value, "bad-tolerances", name, 1)
+    return _as_real(value, "bad-tolerances", name)
 
 
 def _c2j(z: complex) -> dict:
@@ -118,9 +137,7 @@ def parse_config(raw: dict) -> JobConfig:
     model = raw.get("model")
     if model is not None and not isinstance(model, dict):
         _fail("bad-model", "model must be an object")
-    theta = raw.get("theta", DEFAULT_THETA)
-    if not isinstance(theta, (int, float)):
-        _fail("bad-theta", "theta is a number in radians")
+    theta = _as_real(raw.get("theta", DEFAULT_THETA), "bad-theta", "theta in radians")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail("bad-params", "params must be an object")
@@ -130,8 +147,10 @@ def parse_config(raw: dict) -> JobConfig:
     unknown = set(overrides) - _TOL_FIELDS
     if unknown:
         _fail("bad-tolerances", f"unknown tolerance fields: {sorted(unknown)}")
-    tol = DEFAULT_TOLERANCES.with_overrides(**overrides)
-    return JobConfig(command, model, float(theta), params, tol, raw)
+    tol = DEFAULT_TOLERANCES.with_overrides(
+        **{name: _as_tolerance(name, value) for name, value in overrides.items()}
+    )
+    return JobConfig(command, model, theta, params, tol, raw)
 
 
 def _build_spectrum(model: dict) -> Spectrum:
@@ -142,12 +161,14 @@ def _build_spectrum(model: dict) -> Spectrum:
             _fail("bad-model", "finite model needs a nonempty eigenvalue list")
         pairs = []
         for e in evs:
+            if not isinstance(e, dict):
+                _fail("bad-model", "eigenvalues are {re, im[, multiplicity]} objects")
             v = _as_complex({k: e[k] for k in ("re", "im") if k in e}, "eigenvalue")
-            pairs.append(Eigenvalue(v, _as_multiplicity(e.get("multiplicity", 1), "multiplicity")))
+            pairs.append(Eigenvalue(v, _as_int(e.get("multiplicity", 1), "bad-model", "multiplicity", 1)))
         return Finite(tuple(pairs))
     if kind == "lattice":
         a = _as_complex(model.get("a"), "lattice a")
-        return Lattice(a, _as_multiplicity(model.get("mu", 1), "lattice mu"))
+        return Lattice(a, _as_int(model.get("mu", 1), "bad-model", "lattice mu", 1))
     if kind in ("rank1", "monodromy"):
         return _build_circle_model(model).spectrum()
     _fail("bad-model", f"unknown spectrum model type {kind!r}")
@@ -158,28 +179,27 @@ def _build_circle_model(model: dict) -> circ.CircleModel:
     if kind == "rank1":
         return circ.build_rank1(_as_complex(model.get("a"), "rank1 a"))
     if kind == "monodromy":
-        rows = model.get("matrix")
-        if not isinstance(rows, list) or not rows:
-            _fail("bad-model", "monodromy model needs a matrix")
-        mat = [[_as_complex(x, "matrix entry") for x in row] for row in rows]
-        return circ.build_from_monodromy(np.array(mat, dtype=complex))
+        return circ.build_from_monodromy(_as_matrix(model.get("matrix"), "bad-model", "matrix"))
     _fail("bad-model", f"model type {kind!r} is not a circle model")
 
 
-def _build_family(spec: dict) -> circ.ConnectionFamily:
+def _build_family(spec) -> circ.ConnectionFamily:
+    if not isinstance(spec, dict):
+        _fail("bad-family", "params.family is an object")
     kind = spec.get("kind")
     if kind == "constant":
-        rows = spec.get("matrix")
-        if not isinstance(rows, list):
-            _fail("bad-family", "constant family needs a matrix")
-        mat = [[_as_complex(x, "family matrix") for x in row] for row in rows]
-        return circ.ConnectionFamily.constant(np.array(mat, dtype=complex))
+        return circ.ConnectionFamily.constant(_as_matrix(spec.get("matrix"), "bad-family", "family matrix"))
     if kind == "rank1":
         return circ.ConnectionFamily.rank1_path(_as_complex(spec.get("a"), "family a"))
     if kind == "diagonal":
-        a_vals = [_as_complex(x, "family a") for x in spec.get("a", [])]
-        rates = [_as_complex(x, "family rate") for x in spec.get("rates", [1.0] * len(a_vals))]
-        return circ.ConnectionFamily.diagonal_path(a_vals, rates)
+        a_vals = spec.get("a")
+        rates = spec.get("rates", [1.0] * len(a_vals) if isinstance(a_vals, list) else None)
+        if not (isinstance(a_vals, list) and isinstance(rates, list) and len(rates) == len(a_vals)):
+            _fail("bad-family", "diagonal family needs lists a and rates of one length")
+        return circ.ConnectionFamily.diagonal_path(
+            [_as_complex(x, "family a") for x in a_vals],
+            [_as_complex(x, "family rate") for x in rates],
+        )
     _fail("bad-family", f"unknown family kind {kind!r}")
 
 
@@ -222,16 +242,12 @@ def _scan_grid(params: dict):
     if not isinstance(grid, dict):
         _fail("bad-grid", "scan needs a params.grid object")
     try:
-        re_lo = float(grid["reStart"])
-        re_hi = float(grid["reStop"])
-        re_n = int(grid["reSteps"])
-        im_lo = float(grid["imStart"])
-        im_hi = float(grid["imStop"])
-        im_n = int(grid["imSteps"])
+        re_lo, re_hi, im_lo, im_hi = (
+            _as_real(grid[k], "bad-grid", f"grid {k}") for k in ("reStart", "reStop", "imStart", "imStop")
+        )
+        re_n, im_n = (_as_int(grid[k], "bad-grid", f"grid {k}", 0) for k in ("reSteps", "imSteps"))
     except KeyError as exc:
         _fail("bad-grid", f"grid is missing {exc}")
-    if re_n < 0 or im_n < 0:
-        _fail("bad-grid", "grid step counts are nonnegative")
     points = []
     for i in range(re_n):
         re = re_lo if re_n == 1 else re_lo + (re_hi - re_lo) * i / (re_n - 1)
@@ -250,9 +266,7 @@ def _scan_row(a: complex, h: float, tol: Tolerances) -> dict:
         def torsion_at(z: complex) -> complex:
             return circ.torsion_ldet(circ.build_rank1(z, tol), tol).det
 
-        d_re = (torsion_at(a + h) - torsion_at(a - h)) / (2.0 * h)
-        d_im = (torsion_at(a + 1j * h) - torsion_at(a - 1j * h)) / (2.0 * h)
-        cr = abs(0.5 * (d_re + 1j * d_im))
+        cr = circ.cr_residual(torsion_at, a, h)
         row.update(
             t_re=report.torsion.real,
             t_im=report.torsion.imag,
@@ -271,7 +285,9 @@ def _scan_row(a: complex, h: float, tol: Tolerances) -> dict:
 def scan_rows(cfg: JobConfig) -> list[dict]:
     """Scan rows in deterministic grid order; failures are per-row."""
     points = _scan_grid(cfg.params)
-    h = float(cfg.params.get("h", 1e-4))
+    h = _as_real(cfg.params.get("h", 1e-4), "bad-params", "params.h")
+    if not 0.0 < h <= CR_MAX_STEP:
+        _fail("bad-params", f"params.h lies in (0, {CR_MAX_STEP}]")
     return [_scan_row(a, h, cfg.tolerances) for a in points]
 
 
@@ -356,13 +372,15 @@ def run(cfg: JobConfig) -> dict:
         results["rowCount"] = len(rows)
     elif cfg.command == "monodromy":
         family = _build_family(cfg.params.get("family", {}))
-        steps = int(cfg.params.get("steps", 256))
-        phi = circ.monodromy(family, steps, float(cfg.params.get("t", 0.0)))
+        steps = _as_int(cfg.params.get("steps", 256), "bad-params", "params.steps", MIN_ODE_STEPS)
+        phi = circ.monodromy(family, steps, _as_real(cfg.params.get("t", 0.0), "bad-params", "params.t"))
         results["monodromy"] = [[_c2j(complex(z)) for z in row] for row in phi]
         results["argClass"] = _c2j(circ.arg_class(phi))
     elif cfg.command == "variation":
-        dt = float(cfg.params.get("dt", 1e-4))
-        t0 = float(cfg.params.get("t", 0.0))
+        dt = _as_real(cfg.params.get("dt", 1e-4), "bad-params", "params.dt")
+        if dt <= 0.0:
+            _fail("bad-params", "params.dt is positive")
+        t0 = _as_real(cfg.params.get("t", 0.0), "bad-params", "params.t")
         path, coeff, kind = _path_from_params(cfg.params)
         res_eta = circ.eta_variation_check(path, dt, t0, tol)
         checks.append(_check("eta_variation", res_eta, tol.variation_residual))
@@ -411,7 +429,10 @@ def _parse_tol_overrides(text: str) -> dict:
         if "=" not in part:
             _fail("bad-tolerances", f"override {part!r} is not key=value")
         key, value = part.split("=", 1)
-        overrides[key.strip()] = float(value)
+        try:
+            overrides[key.strip()] = float(value)
+        except ValueError:
+            _fail("bad-tolerances", f"override {part!r} is not a number")
     return overrides
 
 
@@ -433,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError("bad-json", f"config is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise SchemaError("bad-config", "configuration must be a JSON object")
         raw.setdefault("command", args.command)
         if raw["command"] != args.command:
             raise SchemaError("bad-command", "config command disagrees with CLI command")
@@ -442,11 +465,13 @@ def main(argv: list[str] | None = None) -> int:
             raw["tolerances"] = merged
         cfg = parse_config(raw)
         result = run(cfg)
-    except SchemaError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
-        return 2
-    except ZetaDetError as exc:
-        code = type(exc).__name__.removesuffix("Error")
+    except (ZetaDetError, ValueError) as exc:
+        if isinstance(exc, SchemaError):
+            code = exc.code
+        elif isinstance(exc, ZetaDetError):
+            code = type(exc).__name__.removesuffix("Error")
+        else:
+            code = "bad-value"
         print(json.dumps({"error": {"code": code, "message": str(exc)}}), file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .spectrum import (
     GradedSpectrum,
-    Restricted,
     Spectrum,
     certify_agmon,
     imaginary_axis_counts,
@@ -77,14 +76,6 @@ def ldet(
     cut = as_cut(theta)
     ld = -zeta_ds_at_zero(spec, cut, tol=tol)
     return LDetResult(ld, cmath.exp(ld), cut)
-
-
-def ldet_restricted(
-    spec: Restricted, theta, tol: Tolerances = DEFAULT_TOLERANCES
-) -> LDetResult:
-    if not isinstance(spec, Restricted):
-        raise TypeError("ldet_restricted expects a Restricted spectrum")
-    return ldet(spec, theta, tol)
 
 
 def graded_ldet(
@@ -149,6 +140,20 @@ def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
                     raise HypothesisViolatedError(sector, v)
 
 
+def _square_side(spec: Spectrum, cut: CutAngle, tol: Tolerances):
+    """zeta'_{2theta}(0, D^2), eta(D) and zeta_{2theta}(0, D^2).
+
+    The side of the determinant/eta identities built from the squared
+    spectrum and the eta invariant.
+    """
+    square = square_spectrum(spec, tol)
+    cut2 = cut.doubled()
+    dz_sq = zeta_ds_at_zero(square, cut2, tol=tol)
+    eta = eta_invariant(spec, tol)
+    z0 = spectral_zeta(square, cut2, 0.0, tol=tol).value
+    return dz_sq, eta, z0
+
+
 def verify_det_eta(
     spec: Spectrum,
     theta,
@@ -173,15 +178,10 @@ def verify_det_eta(
         if not allow_sign_flip:
             raise
         hypothesis_ok = False
-    certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
-
     lhs = -zeta_ds_at_zero(spec, cut, tol=tol)
 
-    square = square_spectrum(spec, tol)
-    cut2 = cut.doubled()
-    half_square = -0.5 * zeta_ds_at_zero(square, cut2, tol=tol)
-    eta = eta_invariant(spec, tol)
-    z0 = spectral_zeta(square, cut2, 0.0, tol=tol).value
+    dz_sq, eta, z0 = _square_side(spec, cut, tol)
+    half_square = -0.5 * dz_sq
     rhs = half_square - 1j * _PI * (eta - 0.5 * z0)
 
     sign: int | None = None
@@ -209,16 +209,10 @@ def verify_det_eta_upper(
     if not -_PI / 2.0 < th < 0.0:
         raise ValueError("verify_det_eta_upper requires theta in (-pi/2, 0)")
     _check_hypothesis_sectors(spec, th)
-    upper = cut.shifted(-_PI)
-    certify_agmon(spec, upper, tol.agmon_epsilon, tol=tol)
+    lhs = -zeta_ds_at_zero(spec, cut.shifted(-_PI), tol=tol)
 
-    lhs = -zeta_ds_at_zero(spec, upper, tol=tol)
-
-    square = square_spectrum(spec, tol)
-    cut2 = cut.doubled()
-    half_square = -0.5 * zeta_ds_at_zero(square, cut2, tol=tol)
-    eta = eta_invariant(spec, tol)
-    z0 = spectral_zeta(square, cut2, 0.0, tol=tol).value
+    dz_sq, eta, z0 = _square_side(spec, cut, tol)
+    half_square = -0.5 * dz_sq
     rhs = half_square + 1j * _PI * (eta - 0.5 * z0)
     residual = abs(lhs - rhs)
     # reuse the report shape; rhs sign is +, so store the matching residual
@@ -291,11 +285,7 @@ def symmetric_spectrum_det(
         raise ValueError("symmetric_spectrum_det requires theta in (-pi/2, 0)")
     base = ldet(spec, cut, tol)
 
-    square = square_spectrum(spec, tol)
-    cut2 = cut.doubled()
-    dz_sq = zeta_ds_at_zero(square, cut2, tol=tol)
-    eta = eta_invariant(spec, tol)
-    z0 = spectral_zeta(square, cut2, 0.0, tol=tol).value
+    dz_sq, eta, z0 = _square_side(spec, cut, tol)
     _, m_minus = imaginary_axis_counts(spec, tol)
 
     if abs(eta.imag) > tol.reality:

@@ -370,6 +370,37 @@ class Restricted(Spectrum):
             yield self.base.value_at(n), ov.get(n, mu)
 
 
+def decompose(
+    spec: Spectrum,
+) -> Tuple[Tuple[Spectrum, ...], Tuple[Tuple[complex, int], ...]]:
+    """The spectrum as lattice families plus finite points with signed multiplicities.
+
+    Families (``Lattice``, ``QuadLattice``, ``HermQuadLattice``) come in part
+    order.  A ``Restricted`` lattice contributes its base family and the
+    corrections ``(value_at(n), m - mu)`` in ``sub_mult`` order; a
+    ``Restricted`` finite base contributes its ``effective_finite()`` points.
+    This is the one walk over ``DirectSum``, ``Restricted`` and ``Finite``.
+    """
+    if isinstance(spec, (Lattice, QuadLattice, HermQuadLattice)):
+        return (spec,), ()
+    if isinstance(spec, DirectSum):
+        families: list = []
+        points: list = []
+        for part in spec.parts:
+            f, p = decompose(part)
+            families += f
+            points += p
+        return tuple(families), tuple(points)
+    if isinstance(spec, Finite):
+        return (), spec.items()
+    if isinstance(spec, Restricted):
+        if isinstance(spec.base, Finite):
+            return (), spec.effective_finite().items()
+        base, mu = spec.base, spec.base.mu
+        return (base,), tuple((base.value_at(n), m - mu) for n, m in spec.sub_mult)
+    raise TypeError(f"no decomposition for {type(spec).__name__}")
+
+
 @dataclass(frozen=True)
 class GradedSpectrum:
     """Parity-indexed components (j, spectrum) feeding the graded determinant."""
@@ -426,109 +457,54 @@ def certify_agmon(
 def imaginary_axis_counts(
     spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Tuple[int, int]:
-    """Multiplicity counts (m_plus, m_minus) on the imaginary half-axes."""
-    if isinstance(spec, Finite):
-        mp = mm = 0
-        for v, m in spec.items():
-            if abs(v.real) <= tol.imag_axis:
-                if v.imag > 0:
-                    mp += m
-                elif v.imag < 0:
-                    mm += m
-        return mp, mm
-    if isinstance(spec, Lattice):
-        mp = mm = 0
-        center = -round(spec.a.real)
-        for n in (center - 1, center, center + 1):
-            v = spec.a + n
-            if abs(v.real) <= tol.imag_axis:
-                if v.imag > 0:
-                    mp += spec.mu
-                elif v.imag < 0:
-                    mm += spec.mu
-        return mp, mm
-    if isinstance(spec, DirectSum):
-        mp = mm = 0
-        for p in spec.parts:
-            a, b = imaginary_axis_counts(p, tol)
-            mp += a
-            mm += b
-        return mp, mm
-    if isinstance(spec, Restricted):
-        ov = spec.overrides()
-        if isinstance(spec.base, Finite):
-            return imaginary_axis_counts(spec.effective_finite(), tol)
-        if isinstance(spec.base, Lattice):
-            mp = mm = 0
-            center = -round(spec.base.a.real)
-            for n in (center - 1, center, center + 1):
-                v = spec.base.a + n
-                if abs(v.real) <= tol.imag_axis:
-                    m = ov.get(n, spec.base.mu)
-                    if v.imag > 0:
-                        mp += m
-                    elif v.imag < 0:
-                        mm += m
-            return mp, mm
-    raise TypeError(f"imaginary-axis counts undefined for {type(spec).__name__}")
+    """Multiplicity counts (m_plus, m_minus) on the imaginary half-axes.
+
+    Every eigenvalue next to the half-axes is among ``points_near`` of them.
+    """
+    mp = mm = 0
+    for v, m in spec.points_near((-_PI / 2.0, _PI / 2.0)):
+        if abs(v.real) <= tol.imag_axis:
+            if v.imag > 0:
+                mp += m
+            elif v.imag < 0:
+                mm += m
+    return mp, mm
+
+
+def _family_key(family: Spectrum, tol: Tolerances, conj: bool) -> tuple:
+    """Lattice by a mod Z, QuadLattice by +-a mod Z; HermQuadLattice is self-conjugate."""
+    a = family.a
+    if conj and not isinstance(family, HermQuadLattice):
+        a = a.conjugate()
+    if abs(a.imag) <= tol.imag_axis:
+        a = complex(a.real, 0.0)
+    sig = tol.merge_significant_digits
+    key = merge_key(_normalize_log_param(a)[0], sig)
+    if isinstance(family, QuadLattice):
+        key = min(key, merge_key(_normalize_log_param(-a)[0], sig))
+    return type(family).__name__, key
 
 
 def is_symmetric_about_real_axis(
     spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> bool:
-    """True iff conj(lambda) occurs with the same multiplicity as lambda."""
+    """True iff conj(lambda) occurs with the same multiplicity as lambda.
+
+    The decomposition must equal its conjugate: families by their canonical
+    key, signed point multiplicities by ``merge_key``.
+    """
+    families, points = decompose(spec)
     sig = tol.merge_significant_digits
-    if isinstance(spec, Finite):
+
+    def tally(conj: bool) -> dict:
         counts: dict = {}
-        for v, m in spec.items():
-            counts[merge_key(v, sig)] = counts.get(merge_key(v, sig), 0) + m
-        for v, m in spec.items():
-            if counts.get(merge_key(v.conjugate(), sig), 0) != counts[merge_key(v, sig)]:
-                return False
-        return True
-    if isinstance(spec, Lattice):
-        return abs(spec.a.imag) <= tol.imag_axis
-    if isinstance(spec, HermQuadLattice):
-        return True
-    if isinstance(spec, QuadLattice):
-        if abs(spec.a.imag) <= tol.imag_axis:
-            return True
-        two_re = 2.0 * spec.a.real
-        return abs(two_re - round(two_re)) <= tol.imag_axis
-    if isinstance(spec, DirectSum):
-        finite_parts = [p for p in spec.parts if isinstance(p, Finite)]
-        lattice_parts = [p for p in spec.parts if isinstance(p, Lattice)]
-        other = [p for p in spec.parts if not isinstance(p, (Finite, Lattice))]
-        if other:
-            return all(is_symmetric_about_real_axis(p, tol) for p in spec.parts)
-        merged = Finite(())
-        if finite_parts:
-            evs: dict = {}
-            for p in finite_parts:
-                for v, m in p.items():
-                    k = merge_key(v, sig)
-                    evs[k] = (v, evs.get(k, (v, 0))[1] + m)
-            merged = Finite(tuple(Eigenvalue(v, m) for v, m in evs.values()))
-            if not is_symmetric_about_real_axis(merged, tol):
-                return False
-        lat: dict = {}
-        for p in lattice_parts:
-            atil, _ = _normalize_log_param(p.a)
-            k = merge_key(atil, sig)
-            lat[k] = lat.get(k, 0) + p.mu
-        for p in lattice_parts:
-            atil, _ = _normalize_log_param(p.a)
-            if lat.get(merge_key(atil.conjugate(), sig), 0) != lat[merge_key(atil, sig)]:
-                return False
-        return True
-    if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return is_symmetric_about_real_axis(spec.effective_finite(), tol)
-        if not is_symmetric_about_real_axis(spec.base, tol):
-            return False
-        # real lattice base: every eigenvalue is real, any override is fine
-        return True
-    raise TypeError(f"symmetry test undefined for {type(spec).__name__}")
+        keyed = [(_family_key(f, tol, conj), f.mu) for f in families]
+        keyed += [(merge_key(v.conjugate() if conj else v, sig), m) for v, m in points]
+        for k, m in keyed:
+            counts[k] = counts.get(k, 0) + m
+        return {k: m for k, m in counts.items() if m}
+
+    return tally(False) == tally(True)
 
 
 def square_spectrum(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:

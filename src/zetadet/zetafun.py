@@ -27,16 +27,13 @@ from .config import (
 from .errors import DomainError, PoleError
 from .kernels import hurwitz_zeta_raw, log_gamma
 from .spectrum import (
-    AgmonCertificate,
-    DirectSum,
-    Finite,
     HermQuadLattice,
     Lattice,
     QuadLattice,
-    Restricted,
     Spectrum,
     _normalize_log_param,
     certify_agmon,
+    decompose,
     imaginary_axis_counts,
 )
 
@@ -299,108 +296,91 @@ def _herm_dzeta0(a, mu, cut: CutAngle, tol: Tolerances) -> complex:
     return mu * acc
 
 
+def _lat_eta0(a, mu, tol: Tolerances) -> complex:
+    atil, qm = _lat_split(a)
+    skip_r = 1 if atil.real <= tol.imag_axis else 0
+    skip_l = 1 if qm.real <= tol.imag_axis else 0
+    return mu * (1.0 - 2.0 * atil - skip_r + skip_l)
+
+
 # ---------------------------------------------------------------------------
-# dispatch over spectrum types
+# assembly over the decomposition: family closed forms plus finite points
+
+# closed forms per lattice family: zeta(s), zeta'(0), eta(s), eta(0)
+_FORMS = {
+    Lattice: (_lat_zeta, _lat_dzeta0, _lat_eta, _lat_eta0),
+    QuadLattice: (_quad_zeta, _quad_dzeta0, None, None),
+    HermQuadLattice: (_herm_zeta, _herm_dzeta0, None, None),
+}
+_ZETA, _DZETA0, _ETA, _ETA0 = range(4)
+
+
+def _assemble(spec: Spectrum, column: int, family, points):
+    """Sum of ``family(form, f)`` over the families and ``points(pts)``.
+
+    Every term is a (value, error) pair; the points term is left out when the
+    spectrum has families but no points.  The sum starts from the first term,
+    not from zero, so a lone family or a finite spectrum keeps its value bit
+    for bit, signed zeros included.
+    """
+    families, pts = decompose(spec)
+    terms = []
+    for f in families:
+        form = _FORMS[type(f)][column]
+        if form is None:
+            raise TypeError(f"eta undefined for {type(f).__name__}")
+        terms.append(family(form, f))
+    if pts or not terms:
+        terms.append(points(pts))
+    value, err = terms[0]
+    for v, e in terms[1:]:
+        value += v
+        err += e
+    return value, err
 
 
 def _zeta_value(spec: Spectrum, cut: CutAngle, s, tol: Tolerances):
-    if isinstance(spec, Finite):
-        total = sum(
-            m * pow_cut(v, s, cut, tol.on_cut_angle) for v, m in spec.items()
-        )
+    def points(pts):
+        total = sum(m * pow_cut(v, s, cut, tol.on_cut_angle) for v, m in pts)
         return complex(total), 0.0
-    if isinstance(spec, Lattice):
-        return _lat_zeta(spec.a, spec.mu, cut, s, tol)
-    if isinstance(spec, QuadLattice):
-        return _quad_zeta(spec.a, spec.mu, cut, s, tol)
-    if isinstance(spec, HermQuadLattice):
-        return _herm_zeta(spec.a, spec.mu, cut, s, tol)
-    if isinstance(spec, DirectSum):
-        value = 0.0 + 0.0j
-        err = 0.0
-        for p in spec.parts:
-            v, e = _zeta_value(p, cut, s, tol)
-            value += v
-            err += e
-        return value, err
-    if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return _zeta_value(spec.effective_finite(), cut, s, tol)
-        value, err = _zeta_value(spec.base, cut, s, tol)
-        mu = spec.base.mu
-        for n, m in spec.sub_mult:
-            value += (m - mu) * pow_cut(
-                spec.base.value_at(n), s, cut, tol.on_cut_angle
-            )
-        return value, err
-    raise TypeError(f"spectral zeta undefined for {type(spec).__name__}")
+
+    return _assemble(
+        spec, _ZETA, lambda form, f: form(f.a, f.mu, cut, s, tol), points
+    )
 
 
 def _dzeta0_value(spec: Spectrum, cut: CutAngle, tol: Tolerances) -> complex:
-    if isinstance(spec, Finite):
-        return -sum(
-            m * log_cut(v, cut, tol.on_cut_angle) for v, m in spec.items()
-        )
-    if isinstance(spec, Lattice):
-        return _lat_dzeta0(spec.a, spec.mu, cut, tol)
-    if isinstance(spec, QuadLattice):
-        return _quad_dzeta0(spec.a, spec.mu, cut, tol)
-    if isinstance(spec, HermQuadLattice):
-        return _herm_dzeta0(spec.a, spec.mu, cut, tol)
-    if isinstance(spec, DirectSum):
-        return sum(_dzeta0_value(p, cut, tol) for p in spec.parts)
-    if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return _dzeta0_value(spec.effective_finite(), cut, tol)
-        value = _dzeta0_value(spec.base, cut, tol)
-        mu = spec.base.mu
-        for n, m in spec.sub_mult:
-            value -= (m - mu) * log_cut(
-                spec.base.value_at(n), cut, tol.on_cut_angle
-            )
-        return value
-    raise TypeError(f"zeta derivative undefined for {type(spec).__name__}")
+    def points(pts):
+        return -sum(m * log_cut(v, cut, tol.on_cut_angle) for v, m in pts), 0.0
 
-
-def _certify(spec, cut, tol, certificate):
-    if certificate is not None and certificate.theta == cut:
-        return certificate
-    return certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
+    return _assemble(
+        spec, _DZETA0, lambda form, f: (form(f.a, f.mu, cut, tol), 0.0), points
+    )[0]
 
 
 def spectral_zeta(
-    spec: Spectrum,
-    theta,
-    s,
-    certificate: AgmonCertificate | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    spec: Spectrum, theta, s, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ZetaResult:
     """zeta_theta(s, D) = sum of m_k * lambda_k^{-s} along the cut."""
     cut = as_cut(theta)
-    _certify(spec, cut, tol, certificate)
+    certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
     value, err = _zeta_value(spec, cut, complex(s), tol)
     return ZetaResult(value, err)
 
 
 def zeta_at_zero(
-    spec: Spectrum,
-    theta,
-    certificate: AgmonCertificate | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    spec: Spectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> complex:
     """zeta_theta(0, D); the total multiplicity for finite spectra."""
-    return spectral_zeta(spec, theta, 0.0, certificate, tol).value
+    return spectral_zeta(spec, theta, 0.0, tol).value
 
 
 def zeta_ds_at_zero(
-    spec: Spectrum,
-    theta,
-    certificate: AgmonCertificate | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    spec: Spectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> complex:
     """zeta_theta'(0, D), assembled exactly (no numerical differentiation)."""
     cut = as_cut(theta)
-    _certify(spec, cut, tol, certificate)
+    certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
     return _dzeta0_value(spec, cut, tol)
 
 
@@ -409,96 +389,48 @@ def zeta_ds_at_zero(
 
 
 def _eta_value(spec: Spectrum, cut: CutAngle, s, tol: Tolerances):
-    if isinstance(spec, Finite):
+    def points(pts):
         total = 0.0 + 0.0j
-        for v, m in spec.items():
+        for v, m in pts:
             if v.real > tol.imag_axis:
                 total += m * pow_cut(v, s, cut, tol.on_cut_angle)
             elif v.real < -tol.imag_axis:
                 total -= m * pow_cut(-v, s, cut, tol.on_cut_angle)
         return total, 0.0
-    if isinstance(spec, Lattice):
-        return _lat_eta(spec.a, spec.mu, cut, s, tol)
-    if isinstance(spec, DirectSum):
-        value = 0.0 + 0.0j
-        err = 0.0
-        for p in spec.parts:
-            v, e = _eta_value(p, cut, s, tol)
-            value += v
-            err += e
-        return value, err
-    if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return _eta_value(spec.effective_finite(), cut, s, tol)
-        if isinstance(spec.base, Lattice):
-            value, err = _eta_value(spec.base, cut, s, tol)
-            mu = spec.base.mu
-            for n, m in spec.sub_mult:
-                v = spec.base.value_at(n)
-                if v.real > tol.imag_axis:
-                    value += (m - mu) * pow_cut(v, s, cut, tol.on_cut_angle)
-                elif v.real < -tol.imag_axis:
-                    value -= (m - mu) * pow_cut(-v, s, cut, tol.on_cut_angle)
-            return value, err
-    raise TypeError(f"eta function undefined for {type(spec).__name__}")
+
+    return _assemble(
+        spec, _ETA, lambda form, f: form(f.a, f.mu, cut, s, tol), points
+    )
 
 
 def eta_function(
-    spec: Spectrum,
-    theta,
-    s,
-    certificate: AgmonCertificate | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    spec: Spectrum, theta, s, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> complex:
     """Spectral asymmetry function; imaginary-axis eigenvalues are excluded."""
     cut = as_cut(theta)
-    _certify(spec, cut, tol, certificate)
+    certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
     value, _ = _eta_value(spec, cut, complex(s), tol)
     return value
 
 
 def _eta_at_zero(spec: Spectrum, tol: Tolerances) -> complex:
     """eta_theta(0, D); branch-free, hence independent of the cut."""
-    if isinstance(spec, Finite):
+
+    def points(pts):
         total = 0
-        for v, m in spec.items():
+        for v, m in pts:
             if v.real > tol.imag_axis:
                 total += m
             elif v.real < -tol.imag_axis:
                 total -= m
-        return complex(total)
-    if isinstance(spec, Lattice):
-        atil, qm = _lat_split(spec.a)
-        skip_r = 1 if atil.real <= tol.imag_axis else 0
-        skip_l = 1 if qm.real <= tol.imag_axis else 0
-        return spec.mu * (1.0 - 2.0 * atil - skip_r + skip_l)
-    if isinstance(spec, DirectSum):
-        return sum(_eta_at_zero(p, tol) for p in spec.parts)
-    if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return _eta_at_zero(spec.effective_finite(), tol)
-        if isinstance(spec.base, Lattice):
-            value = _eta_at_zero(spec.base, tol)
-            mu = spec.base.mu
-            for n, m in spec.sub_mult:
-                v = spec.base.value_at(n)
-                if v.real > tol.imag_axis:
-                    value += m - mu
-                elif v.real < -tol.imag_axis:
-                    value -= m - mu
-            return value
-    raise TypeError(f"eta undefined for {type(spec).__name__}")
+        return complex(total), 0.0
+
+    return _assemble(
+        spec, _ETA0, lambda form, f: (form(f.a, f.mu, tol), 0.0), points
+    )[0]
 
 
 def eta_invariant(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
     """(eta(0, D) + m_+ - m_-) / 2 — the sign-refined eta invariant."""
     m_plus, m_minus = imaginary_axis_counts(spec, tol)
     return 0.5 * (_eta_at_zero(spec, tol) + m_plus - m_minus)
-
-
-def eta_invariant_restricted(
-    spec: Restricted, tol: Tolerances = DEFAULT_TOLERANCES
-) -> complex:
-    if not isinstance(spec, Restricted):
-        raise TypeError("eta_invariant_restricted expects a Restricted spectrum")
-    return eta_invariant(spec, tol)

@@ -276,3 +276,8 @@ class TestHolomorphy:
     def test_step_ceiling(self):
         with pytest.raises(ValueError):
             holomorphy_scan((0.2, 0.8), (0.0, 0.0), 3, 1e-3)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5])
+    def test_nonpositive_step_rejected(self, h):
+        with pytest.raises(ValueError):
+            holomorphy_scan((0.2, 0.8), (0.0, 0.0), 3, h)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -15,6 +16,11 @@ from zetadet.cli import (
 from zetadet.errors import SchemaError
 
 PI = math.pi
+
+
+ONE_POINT_GRID = {
+    "reStart": 0.3, "reStop": 0.3, "reSteps": 1, "imStart": 0.0, "imStop": 0.0, "imSteps": 1,
+}
 
 
 def _job(command, model=None, **kwargs):
@@ -342,7 +348,13 @@ class TestCliEntry:
 
 
     @pytest.mark.parametrize(
-        "a", ['{"re": NaN, "im": 0}', '{"re": 0.3, "im": Infinity}', '{"re": "x", "im": 0}']
+        "a",
+        [
+            '{"re": NaN, "im": 0}',
+            '{"re": 0.3, "im": Infinity}',
+            '{"re": "x", "im": 0}',
+            pytest.param('{"re": 1%s, "im": 0}' % ("0" * 400), id="integer-beyond-float"),
+        ],
     )
     def test_non_finite_complex_rejected(self, monkeypatch, capsys, a):
         import io
@@ -374,6 +386,61 @@ class TestCliEntry:
         cfg.write_text(json.dumps({"command": "verify", "model": model}))
         assert main(["verify", "--config", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad-model"
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            pytest.param(
+                {"command": "verify", "model": {"type": "finite", "eigenvalues": [1.0, 2.0]}},
+                id="bare-eigenvalues",
+            ),
+            pytest.param(
+                {"command": "scan", "params": {"grid": {**ONE_POINT_GRID, "reStart": "x"}}},
+                id="grid-string",
+            ),
+            pytest.param(
+                {"command": "scan", "params": {"grid": {**ONE_POINT_GRID, "reSteps": 2.5}}},
+                id="grid-fractional-steps",
+            ),
+            pytest.param(
+                {"command": "torsion", "model": {"type": "monodromy", "matrix": [[1, 2], [3]]}},
+                id="ragged-matrix",
+            ),
+            pytest.param(
+                {"command": "monodromy", "params": {"family": {"kind": "rank1", "a": 0.3}, "steps": 10}},
+                id="too-few-steps",
+            ),
+            pytest.param(
+                {"command": "torsion", "model": {"type": "rank1", "a": 0.3},
+                 "tolerances": {"identity_residual": "x"}},
+                id="string-tolerance",
+            ),
+            pytest.param(
+                {"command": "det", "model": {"type": "lattice", "a": 2}},
+                id="integer-lattice",
+            ),
+            pytest.param(
+                {"command": "variation", "params": {"path": {"kind": "affine", "a0": 0.3}, "dt": 0}},
+                id="zero-dt",
+            ),
+        ],
+    )
+    def test_malformed_job_exits_2(self, monkeypatch, capsys, job):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main([job["command"], "--config", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert set(json.loads(captured.err)["error"]) == {"code", "message"}
+
+    @pytest.mark.parametrize("h", [0, 0.5, "x"])
+    def test_scan_step_rejected(self, monkeypatch, capsys, h):
+        job = {"command": "scan", "params": {"grid": ONE_POINT_GRID, "h": h}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["scan", "--config", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "bad-params"
 
     def test_integral_float_multiplicity_accepted(self):
         lattice = {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}

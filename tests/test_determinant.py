@@ -21,7 +21,6 @@ from zetadet import (
     angle_shift_count,
     graded_ldet,
     ldet,
-    ldet_restricted,
     pick_det_eta_cut,
     symmetric_spectrum_det,
     verify_det_eta,
@@ -69,15 +68,15 @@ class TestLdet:
 
     def test_restricted(self):
         base = Finite((Eigenvalue(2, 2),))
-        assert ldet_restricted(Restricted(base, {0: 1}), -PI).det == pytest.approx(2)
+        assert ldet(Restricted(base, {0: 1}), -PI).det == pytest.approx(2)
         base2 = Finite((Eigenvalue(2, 2), Eigenvalue(3, 1)))
-        r = ldet_restricted(Restricted(base2, {0: 0, 1: 1}), -PI)
+        r = ldet(Restricted(base2, {0: 0, 1: 1}), -PI)
         assert r.det == pytest.approx(3)
 
     def test_full_restriction_matches_base(self):
         base = Finite((Eigenvalue(2, 2), Eigenvalue(1j, 1)))
         sub = Restricted(base, {0: 2, 1: 1})
-        assert ldet_restricted(sub, -PI / 4).ldet == pytest.approx(
+        assert ldet(sub, -PI / 4).ldet == pytest.approx(
             ldet(base, -PI / 4).ldet
         )
 

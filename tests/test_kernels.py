@@ -1,28 +1,23 @@
-import importlib
+import cmath
 import math
 
 import pytest
 
-from zetadet import _kernels_py
+from zetadet import kernels
 from zetadet.config import EM_BERNOULLI_ORDER, em_num_terms
 
 from helpers import direct_hurwitz_sum
 
-try:
-    from zetadet import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
 
 def _eval(impl, s, q):
-    value, err = impl.hurwitz_zeta(s, q, em_num_terms(s, q), EM_BERNOULLI_ORDER)
-    return value, err
+    return impl.hurwitz_zeta_raw(s, q, em_num_terms(s, q), EM_BERNOULLI_ORDER)
 
 
-BACKENDS = [_kernels_py] + ([_kernels_cy] if _kernels_cy else [])
+# the one kernel module is pure Python
+KERNELS = [pytest.param(kernels, id="py")]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit("_", 1)[-1])
+@pytest.mark.parametrize("impl", KERNELS)
 class TestHurwitzKernel:
     def test_basel_value(self, impl):
         value, err = _eval(impl, 2.0, 1.0)
@@ -39,8 +34,8 @@ class TestHurwitzKernel:
     def test_value_and_estimate_consistency(self, impl):
         # doubling the shift must not move the value beyond the estimate
         s, q = 0.3 + 2.0j, 0.2 + 0.9j
-        v1, e1 = impl.hurwitz_zeta(s, q, 24, EM_BERNOULLI_ORDER)
-        v2, e2 = impl.hurwitz_zeta(s, q, 48, EM_BERNOULLI_ORDER)
+        v1, e1 = impl.hurwitz_zeta_raw(s, q, 24, EM_BERNOULLI_ORDER)
+        v2, e2 = impl.hurwitz_zeta_raw(s, q, 48, EM_BERNOULLI_ORDER)
         assert abs(v1 - v2) <= max(e1 + e2, 1e-13)
 
     def test_zero_value_identity(self, impl):
@@ -50,7 +45,7 @@ class TestHurwitzKernel:
             assert value == pytest.approx(0.5 - q, abs=1e-12)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit("_", 1)[-1])
+@pytest.mark.parametrize("impl", KERNELS)
 class TestLogGammaKernel:
     def test_known_values(self, impl):
         assert impl.log_gamma(1.0) == pytest.approx(0.0, abs=1e-13)
@@ -58,45 +53,14 @@ class TestLogGammaKernel:
         assert impl.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
 
     def test_recursion(self, impl):
-        import cmath
-
         for z in (0.3, 0.7 + 0.4j, 1.9 - 1.2j):
             lhs = impl.log_gamma(z + 1)
             rhs = impl.log_gamma(z) + cmath.log(z)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_reflection(self, impl):
-        import cmath
-
         # Gamma(z) Gamma(1-z) = pi / sin(pi z) for z in the strip
         for z in (0.25, 0.5 + 0.3j, 0.8 - 0.2j):
             total = impl.log_gamma(z) + impl.log_gamma(1 - z)
             expected = cmath.log(math.pi / cmath.sin(math.pi * z))
             assert cmath.exp(total) == pytest.approx(cmath.exp(expected), rel=1e-12)
-
-
-@pytest.mark.skipif(_kernels_cy is None, reason="compiled backend not built")
-class TestBackendParity:
-    def test_hurwitz_agreement(self):
-        grid_s = (0.0, 2.0, -1.3, 0.7 + 1.9j, 3.0 - 0.4j)
-        grid_q = (0.1, 1.0, 2.0, 0.3 + 0.8j, 1.5 - 0.6j)
-        for s in grid_s:
-            for q in grid_q:
-                v_py, e_py = _eval(_kernels_py, s, q)
-                v_cy, e_cy = _eval(_kernels_cy, s, q)
-                assert abs(v_py - v_cy) <= 1e-13 * (1 + abs(v_py))
-                assert e_cy == pytest.approx(e_py, rel=1e-9, abs=1e-300)
-
-    def test_log_gamma_agreement(self):
-        for z in (0.1, 1.0, 5.5, 0.2 + 3.0j, 2.5 - 0.7j):
-            assert abs(_kernels_py.log_gamma(z) - _kernels_cy.log_gamma(z)) < 1e-12
-
-
-def test_pure_backend_forced_by_env(monkeypatch):
-    monkeypatch.setenv("ZETADET_PURE", "1")
-    import zetadet.kernels as kernels
-
-    importlib.reload(kernels)
-    assert kernels.BACKEND == "python"
-    monkeypatch.delenv("ZETADET_PURE")
-    importlib.reload(kernels)

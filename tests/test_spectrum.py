@@ -21,6 +21,7 @@ from zetadet import (
     square_spectrum,
 )
 from zetadet.complexcut import ang_dist
+from zetadet.config import DEFAULT_TOLERANCES
 
 from helpers import brute_is_agmon, clear_radius
 
@@ -47,6 +48,33 @@ def _lattice_part(draw):
     base = Lattice(a, mu) if draw(st.booleans()) else QuadLattice(a, mu)
     sub = draw(st.dictionaries(st.integers(-8, 8), st.integers(0, mu), max_size=8))
     return Restricted(base, sub)
+
+
+# Lattice, QuadLattice, Restricted and DirectSum of them, drawn so that
+# eigenvalues land on the imaginary axis: a + n = iy for Lattice(k + iy),
+# (a + n)^2 = +-2iy^2 for QuadLattice(+-y + k + iy); y is dyadic, so exactly
+AXIS_RADIUS = 40.0
+
+
+@st.composite
+def _axis_part(draw):
+    y = draw(st.integers(1, 16).map(lambda k: k / 8)) * draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(-2, 2))
+    mu = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        base = Lattice(complex(k, y), mu)
+    else:
+        base = QuadLattice(complex(draw(st.sampled_from((y, -y))) + k, y), mu)
+    if draw(st.booleans()):
+        return base
+    sub = draw(st.dictionaries(st.integers(-4, 4), st.integers(0, mu), max_size=4))
+    return Restricted(base, sub)
+
+
+AXIS_FAMILIES = st.one_of(
+    _axis_part(),
+    st.lists(_axis_part(), min_size=2, max_size=3).map(lambda parts: DirectSum(tuple(parts))),
+)
 
 
 # Lattice, QuadLattice, HermQuadLattice, Restricted and DirectSum of them
@@ -175,6 +203,21 @@ class TestImaginaryAxisCounts:
         assert imaginary_axis_counts(Lattice(0.3j, 2)) == (2, 0)
         assert imaginary_axis_counts(Lattice(1 - 0.3j)) == (0, 1)
 
+    def test_quad_lattice_on_both_half_axes(self):
+        # (0.5 + 0.5i)^2 = 0.5i and (-0.5 + 0.5i)^2 = -0.5i
+        assert imaginary_axis_counts(QuadLattice(0.5 + 0.5j)) == (1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=AXIS_FAMILIES)
+    def test_agrees_with_brute_force(self, spec):
+        tol = DEFAULT_TOLERANCES
+        mp = mm = 0
+        for v, m in spec.points_within(AXIS_RADIUS):
+            if abs(v.real) <= tol.imag_axis:
+                mp += m if v.imag > 0 else 0
+                mm += m if v.imag < 0 else 0
+        assert imaginary_axis_counts(spec, tol) == (mp, mm)
+
 
 class TestSymmetry:
     def test_conjugate_pairs(self):
@@ -196,6 +239,17 @@ class TestSymmetry:
         assert not is_symmetric_about_real_axis(Lattice(0.25 + 0.1j))
         sym_pair = DirectSum((Lattice(0.25 + 0.1j), Lattice(0.25 - 0.1j)))
         assert is_symmetric_about_real_axis(sym_pair)
+
+    def test_removed_square_breaks_symmetry(self):
+        # (0.5 + 0.3i)^2 is removed while its conjugate, at index -1, is kept
+        assert not is_symmetric_about_real_axis(Restricted(QuadLattice(0.5 + 0.3j), {0: 0}))
+        both = Restricted(QuadLattice(0.5 + 0.3j), {0: 0, -1: 0})
+        assert is_symmetric_about_real_axis(both)
+
+    def test_conjugate_lattices_beside_a_quad_lattice(self):
+        spec = DirectSum((Lattice(0.3 + 0.2j), Lattice(0.3 - 0.2j), QuadLattice(0.25)))
+        assert is_symmetric_about_real_axis(spec)
+        assert not is_symmetric_about_real_axis(DirectSum(spec.parts[1:]))
 
 
 class TestSquare:

@@ -17,7 +17,6 @@ from zetadet import (
     Restricted,
     eta_function,
     eta_invariant,
-    eta_invariant_restricted,
     hurwitz_zeta,
     hurwitz_zeta_ds0,
     negate_spectrum,
@@ -223,11 +222,11 @@ class TestEta:
     def test_restricted_eta(self):
         base = Finite((Eigenvalue(1, 2), Eigenvalue(-1, 2)))
         sub = Restricted(base, {0: 1, 1: 0})
-        assert eta_invariant_restricted(sub) == pytest.approx(0.5)
+        assert eta_invariant(sub) == pytest.approx(0.5)
         full = Restricted(base, {0: 2, 1: 2})
-        assert eta_invariant_restricted(full) == pytest.approx(eta_invariant(base))
+        assert eta_invariant(full) == pytest.approx(eta_invariant(base))
         empty = Restricted(base, {0: 0, 1: 0})
-        assert eta_invariant_restricted(empty) == pytest.approx(0)
+        assert eta_invariant(empty) == pytest.approx(0)
 
     def test_restricted_lattice_eta(self):
         base = Lattice(0.25, 2)
