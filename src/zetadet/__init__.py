@@ -32,6 +32,7 @@ from .determinant import (
     symmetric_spectrum_det,
     verify_det_eta,
     verify_det_eta_upper,
+    verify_spectrum,
 )
 from .errors import (
     DomainError,

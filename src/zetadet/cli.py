@@ -27,16 +27,9 @@ import numpy as np
 from . import circle as circ
 from .complexcut import CutAngle
 from .config import CR_MAX_STEP, DEFAULT_TOLERANCES, MIN_ODE_STEPS, Tolerances
-from .determinant import ldet, symmetric_spectrum_det, verify_det_eta, verify_det_eta_upper
+from .determinant import ldet, verify_spectrum
 from .errors import SchemaError, ZetaDetError
-from .spectrum import (
-    DirectSum,
-    Eigenvalue,
-    Finite,
-    Lattice,
-    Spectrum,
-    is_symmetric_about_real_axis,
-)
+from .spectrum import Eigenvalue, Finite, Lattice, Spectrum
 from .zetafun import eta_invariant, spectral_zeta
 
 SCHEMA_VERSION = 1
@@ -347,9 +340,8 @@ def run(cfg: JobConfig) -> dict:
             )
         else:
             spec = _build_spectrum(cfg.model)
-            rep = verify_det_eta(spec, CutAngle(cfg.theta), tol)
+            rep, rep_up, sym = verify_spectrum(spec, CutAngle(cfg.theta), tol)
             checks.append(_check("det_eta_identity", rep.residual, tol.identity_residual))
-            rep_up = verify_det_eta_upper(spec, CutAngle(cfg.theta), tol)
             checks.append(
                 _check("det_eta_identity_upper", rep_up.residual, tol.identity_residual)
             )
@@ -358,8 +350,7 @@ def run(cfg: JobConfig) -> dict:
                 eta=_c2j(rep.eta),
                 zetaZeroSquare=_c2j(rep.zeta_zero_square),
             )
-            if is_symmetric_about_real_axis(spec, tol):
-                sym = symmetric_spectrum_det(spec, CutAngle(cfg.theta), tol)
+            if sym is not None:
                 checks.append(
                     _check(
                         "symmetric_factorization",
@@ -384,7 +375,7 @@ def run(cfg: JobConfig) -> dict:
         path, coeff, kind = _path_from_params(cfg.params)
         res_eta = circ.eta_variation_check(path, dt, t0, tol)
         checks.append(_check("eta_variation", res_eta, tol.variation_residual))
-        family = _family_for_path(kind, complex(path(0.0) - (0 if kind == "sine" else 0)), coeff)
+        family = _family_for_path(kind, complex(path(0.0)), coeff)
         res_arg = circ.arg_derivative_check(family, dt, t0)
         checks.append(_check("arg_derivative", res_arg, tol.variation_residual))
         results.update(etaVariationResidual=res_eta, argDerivativeResidual=res_arg)
@@ -449,7 +440,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = sys.stdin.read() if args.config == "-" else open(args.config).read()
+        if args.config == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.config) as fh:
+                text = fh.read()
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -459,28 +454,28 @@ def main(argv: list[str] | None = None) -> int:
         raw.setdefault("command", args.command)
         if raw["command"] != args.command:
             raise SchemaError("bad-command", "config command disagrees with CLI command")
-        if args.tol_overrides:
-            merged = dict(raw.get("tolerances", {}))
-            merged.update(_parse_tol_overrides(args.tol_overrides))
-            raw["tolerances"] = merged
+        if args.tol_overrides and isinstance(raw.get("tolerances", {}), dict):
+            raw["tolerances"] = {**raw.get("tolerances", {}), **_parse_tol_overrides(args.tol_overrides)}
         cfg = parse_config(raw)
-        result = run(cfg)
-    except (ZetaDetError, ValueError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = run(cfg)
+        rendered = render_json(result) if args.format == "json" else render_csv(result)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+    except (ZetaDetError, ValueError, OSError, ArithmeticError) as exc:
         if isinstance(exc, SchemaError):
             code = exc.code
-        elif isinstance(exc, ZetaDetError):
+        elif isinstance(exc, (ZetaDetError, ArithmeticError)):
             code = type(exc).__name__.removesuffix("Error")
+        elif isinstance(exc, OSError):
+            code = "bad-file"
         else:
             code = "bad-value"
         print(json.dumps({"error": {"code": code, "message": str(exc)}}), file=sys.stderr)
         return 2
-
-    rendered = render_json(result) if args.format == "json" else render_csv(result)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
 
     ok = all(c["pass"] for c in result.get("checks", []))
     ok = ok and all(r.get("status", "ok") == "ok" for r in result.get("rows", []))

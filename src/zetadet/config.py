@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -41,6 +43,11 @@ DEFAULT_TOLERANCES = Tolerances()
 EM_BERNOULLI_ORDER = 12
 EM_MIN_TERMS = 20
 
+# Cap on the terms any sum adds up one by one (tail buffers, Euler-Maclaurin
+# shifts).  A job needing more is refused rather than left running; the cap is
+# not a tolerance, so no job can raise it.
+MAX_EXPLICIT_TERMS = 100_000
+
 # Finite-difference step ceiling for holomorphy scans.
 CR_MAX_STEP = 1e-4
 
@@ -56,4 +63,11 @@ ARG_PAIRING_SIGN = -1.0
 
 def em_num_terms(s: complex, q: complex) -> int:
     """Shift length for the Euler-Maclaurin evaluation of the Hurwitz zeta."""
-    return max(EM_MIN_TERMS, math.ceil(10.0 + abs(s.imag) + abs(q)))
+    return max(EM_MIN_TERMS, explicit_terms(10.0 + abs(s.imag) + abs(q)))
+
+
+def explicit_terms(need: float) -> int:
+    """ceil(need), refused past MAX_EXPLICIT_TERMS (NaN and infinity included)."""
+    if not need <= MAX_EXPLICIT_TERMS:
+        raise DomainError(f"{need:.3g} terms to sum one by one exceed the cap of {MAX_EXPLICIT_TERMS}")
+    return math.ceil(need)

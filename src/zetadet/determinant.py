@@ -51,12 +51,6 @@ class DetEtaReport:
     residual: float
     observed_sign: int | None = None
 
-    @property
-    def rhs(self) -> complex:
-        return self.rhs_half_square - 1j * _PI * (
-            self.eta - 0.5 * self.zeta_zero_square
-        )
-
 
 @dataclass(frozen=True)
 class SymmetricDetReport:
@@ -140,18 +134,59 @@ def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
                     raise HypothesisViolatedError(sector, v)
 
 
-def _square_side(spec: Spectrum, cut: CutAngle, tol: Tolerances):
-    """zeta'_{2theta}(0, D^2), eta(D) and zeta_{2theta}(0, D^2).
+def _cut_in_range(theta, caller: str) -> CutAngle:
+    cut = as_cut(theta)
+    if not -_PI / 2.0 < cut.normalized < 0.0:
+        raise ValueError(f"{caller} requires theta in (-pi/2, 0)")
+    return cut
 
-    The side of the determinant/eta identities built from the squared
-    spectrum and the eta invariant.
-    """
+
+def _square_side(spec: Spectrum, cut: CutAngle, tol: Tolerances):
+    """zeta'_{2theta}(0, D^2), eta(D) and zeta_{2theta}(0, D^2): the side built from D^2."""
     square = square_spectrum(spec, tol)
     cut2 = cut.doubled()
     dz_sq = zeta_ds_at_zero(square, cut2, tol=tol)
     eta = eta_invariant(spec, tol)
     z0 = spectral_zeta(square, cut2, 0.0, tol=tol).value
     return dz_sq, eta, z0
+
+
+def _identity(lhs: complex, side, upper: bool = False, hypothesis_ok: bool = True):
+    """``lhs`` against LDet_{2theta}(D^2)/2 -+ i*pi*(eta - zeta_{2theta}(0, D^2)/2).
+
+    + for the upper mirror; without the sector hypothesis, up to the observed sign.
+    """
+    dz_sq, eta, z0 = side
+    half_square = -0.5 * dz_sq
+    phase_term = 1j * _PI * (eta - 0.5 * z0)
+    rhs = half_square + phase_term if upper else half_square - phase_term
+    sign: int | None = None
+    if hypothesis_ok:
+        residual = abs(lhs - rhs)
+    else:
+        det_lhs, det_rhs = cmath.exp(lhs), cmath.exp(rhs)
+        sign = 1 if abs(det_lhs - det_rhs) <= abs(det_lhs + det_rhs) else -1
+        residual = abs(det_lhs - sign * det_rhs)
+    return DetEtaReport(lhs, half_square, eta, z0, residual, sign)
+
+
+def _factorization(spec: Spectrum, base: LDetResult, side, tol: Tolerances):
+    dz_sq, eta, z0 = side
+    _, m_minus = imaginary_axis_counts(spec, tol)
+    if abs(eta.imag) > tol.reality:
+        raise RealityViolatedError("eta invariant", eta.imag)
+    if abs(z0.imag) > tol.reality:
+        raise RealityViolatedError("zeta_{2theta}(0, D^2)", z0.imag)
+    det_square = cmath.exp(-dz_sq)
+    if abs(det_square.imag) > tol.reality * (1.0 + abs(det_square)):
+        raise RealityViolatedError("Det_{2theta}(D^2)", det_square.imag)
+    factored = (
+        (-1.0) ** m_minus
+        * math.sqrt(abs(det_square))
+        * cmath.exp(-1j * _PI * (eta - 0.5 * z0))
+    )
+    residual = abs(base.det - factored)
+    return SymmetricDetReport(base, factored, m_minus, eta, z0, abs(det_square), residual)
 
 
 def verify_det_eta(
@@ -167,32 +202,16 @@ def verify_det_eta(
     report carries the observed sign of Det_theta(D) relative to the factored
     side.
     """
-    cut = as_cut(theta)
-    th = cut.normalized
-    if not -_PI / 2.0 < th < 0.0:
-        raise ValueError("verify_det_eta requires theta in (-pi/2, 0)")
+    cut = _cut_in_range(theta, "verify_det_eta")
     hypothesis_ok = True
     try:
-        _check_hypothesis_sectors(spec, th)
+        _check_hypothesis_sectors(spec, cut.normalized)
     except HypothesisViolatedError:
         if not allow_sign_flip:
             raise
         hypothesis_ok = False
     lhs = -zeta_ds_at_zero(spec, cut, tol=tol)
-
-    dz_sq, eta, z0 = _square_side(spec, cut, tol)
-    half_square = -0.5 * dz_sq
-    rhs = half_square - 1j * _PI * (eta - 0.5 * z0)
-
-    sign: int | None = None
-    if not hypothesis_ok:
-        det_lhs = cmath.exp(lhs)
-        det_rhs = cmath.exp(rhs)
-        sign = 1 if abs(det_lhs - det_rhs) <= abs(det_lhs + det_rhs) else -1
-        residual = abs(det_lhs - sign * det_rhs)
-    else:
-        residual = abs(lhs - rhs)
-    return DetEtaReport(lhs, half_square, eta, z0, residual, sign)
+    return _identity(lhs, _square_side(spec, cut, tol), hypothesis_ok=hypothesis_ok)
 
 
 def verify_det_eta_upper(
@@ -204,19 +223,10 @@ def verify_det_eta_upper(
     theta + pi, with the window below it.  With the window above the ray the
     two sides differ by 2*pi*i * zeta_{2theta}(0, D^2).
     """
-    cut = as_cut(theta)
-    th = cut.normalized
-    if not -_PI / 2.0 < th < 0.0:
-        raise ValueError("verify_det_eta_upper requires theta in (-pi/2, 0)")
-    _check_hypothesis_sectors(spec, th)
+    cut = _cut_in_range(theta, "verify_det_eta_upper")
+    _check_hypothesis_sectors(spec, cut.normalized)
     lhs = -zeta_ds_at_zero(spec, cut.shifted(-_PI), tol=tol)
-
-    dz_sq, eta, z0 = _square_side(spec, cut, tol)
-    half_square = -0.5 * dz_sq
-    rhs = half_square + 1j * _PI * (eta - 0.5 * z0)
-    residual = abs(lhs - rhs)
-    # reuse the report shape; rhs sign is +, so store the matching residual
-    return DetEtaReport(lhs, half_square, eta, z0, residual, None)
+    return _identity(lhs, _square_side(spec, cut, tol), upper=True)
 
 
 def angle_shift_count(
@@ -233,8 +243,8 @@ def angle_shift_count(
     c1 = as_cut(theta1)
     c2 = as_cut(theta2)
     lo, hi = sorted((c1.normalized, c2.normalized))
-    certify_agmon(spec, c1, tol.agmon_epsilon, tol=tol)
-    certify_agmon(spec, c2, tol.agmon_epsilon, tol=tol)
+    certify_agmon(spec, c1, tol.agmon_epsilon)
+    certify_agmon(spec, c2, tol.agmon_epsilon)
 
     for d in spec.tail_directions():
         t = lo + math.fmod(d - lo, 2.0 * _PI)
@@ -279,29 +289,28 @@ def symmetric_spectrum_det(
     """
     if not is_symmetric_about_real_axis(spec, tol):
         raise NotSymmetricError("spectrum is not symmetric about the real axis")
-    cut = as_cut(theta)
-    th = cut.normalized
-    if not -_PI / 2.0 < th < 0.0:
-        raise ValueError("symmetric_spectrum_det requires theta in (-pi/2, 0)")
+    cut = _cut_in_range(theta, "symmetric_spectrum_det")
     base = ldet(spec, cut, tol)
+    return _factorization(spec, base, _square_side(spec, cut, tol), tol)
 
-    dz_sq, eta, z0 = _square_side(spec, cut, tol)
-    _, m_minus = imaginary_axis_counts(spec, tol)
 
-    if abs(eta.imag) > tol.reality:
-        raise RealityViolatedError("eta invariant", eta.imag)
-    if abs(z0.imag) > tol.reality:
-        raise RealityViolatedError("zeta_{2theta}(0, D^2)", z0.imag)
-    det_square = cmath.exp(-dz_sq)
-    if abs(det_square.imag) > tol.reality * (1.0 + abs(det_square)):
-        raise RealityViolatedError("Det_{2theta}(D^2)", det_square.imag)
+def verify_spectrum(
+    spec: Spectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[DetEtaReport, DetEtaReport, SymmetricDetReport | None]:
+    """The reports of ``verify_det_eta``, ``verify_det_eta_upper`` and
+    ``symmetric_spectrum_det`` (``None`` unless symmetric), from one pass.
 
-    factored = (
-        (-1.0) ** m_minus
-        * math.sqrt(abs(det_square))
-        * cmath.exp(-1j * _PI * (eta - 0.5 * z0))
-    )
-    residual = abs(base.det - factored)
-    return SymmetricDetReport(
-        base, factored, m_minus, eta, z0, abs(det_square), residual
-    )
+    The range and sector checks, LDet_theta(D), the square side and the
+    symmetry test are computed once.  Errors come as from the three verifiers
+    run in that order.
+    """
+    cut = _cut_in_range(theta, "verify_det_eta")
+    _check_hypothesis_sectors(spec, cut.normalized)
+    base = ldet(spec, cut, tol)
+    side = _square_side(spec, cut, tol)
+    lower = _identity(base.ldet, side)
+    upper = _identity(-zeta_ds_at_zero(spec, cut.shifted(-_PI), tol=tol), side, upper=True)
+    symmetric = None
+    if is_symmetric_about_real_axis(spec, tol):
+        symmetric = _factorization(spec, base, side, tol)
+    return lower, upper, symmetric

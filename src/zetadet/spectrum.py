@@ -425,12 +425,7 @@ class AgmonCertificate:
     epsilon: float
 
 
-def certify_agmon(
-    spec: Spectrum,
-    theta,
-    epsilon: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> AgmonCertificate:
+def certify_agmon(spec: Spectrum, theta, epsilon: float) -> AgmonCertificate:
     """Certify that no eigenvalue direction is within ``epsilon`` of the cut.
 
     Finite spectra are checked exhaustively.  Lattice-type spectra are checked
@@ -554,7 +549,3 @@ def negate_spectrum(spec: Spectrum) -> Spectrum:
                 tuple(sorted((-n, m) for n, m in spec.sub_mult)),
             )
     raise TypeError(f"negation undefined for {type(spec).__name__}")
-
-
-def total_multiplicity_within(spec: Spectrum, radius: float) -> int:
-    return sum(m for _, m in spec.points_within(radius))

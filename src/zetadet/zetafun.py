@@ -23,6 +23,7 @@ from .config import (
     EM_BERNOULLI_ORDER,
     Tolerances,
     em_num_terms,
+    explicit_terms,
 )
 from .errors import DomainError, PoleError
 from .kernels import hurwitz_zeta_raw, log_gamma
@@ -86,7 +87,7 @@ def _tail_buffer(q: complex, gap: float, halve: bool = False) -> int:
     v = abs(q.imag)
     if v > 0.0:
         need = max(need, v / math.tan(0.9 * g) - q.real)
-    return max(4, int(math.ceil(need)) + 1)
+    return max(4, explicit_terms(need) + 1)
 
 
 def _lat_split(a: complex):
@@ -222,7 +223,7 @@ def _herm_pole_check(s: complex):
 def _herm_buffer(q: complex) -> int:
     # binomial tail needs (Im q / (Re q + K))^2 < 1/4 and Re q + K >= 1
     v = abs(q.imag)
-    return max(4, int(math.ceil(2.0 * v + 1.0 - q.real)) + 1)
+    return max(4, explicit_terms(2.0 * v + 1.0 - q.real) + 1)
 
 
 def _herm_tail_series(s, w: float, v2: float, accumulate_err):
@@ -363,7 +364,7 @@ def spectral_zeta(
 ) -> ZetaResult:
     """zeta_theta(s, D) = sum of m_k * lambda_k^{-s} along the cut."""
     cut = as_cut(theta)
-    certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
+    certify_agmon(spec, cut, tol.agmon_epsilon)
     value, err = _zeta_value(spec, cut, complex(s), tol)
     return ZetaResult(value, err)
 
@@ -380,7 +381,7 @@ def zeta_ds_at_zero(
 ) -> complex:
     """zeta_theta'(0, D), assembled exactly (no numerical differentiation)."""
     cut = as_cut(theta)
-    certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
+    certify_agmon(spec, cut, tol.agmon_epsilon)
     return _dzeta0_value(spec, cut, tol)
 
 
@@ -408,7 +409,7 @@ def eta_function(
 ) -> complex:
     """Spectral asymmetry function; imaginary-axis eigenvalues are excluded."""
     cut = as_cut(theta)
-    certify_agmon(spec, cut, tol.agmon_epsilon, tol=tol)
+    certify_agmon(spec, cut, tol.agmon_epsilon)
     value, _ = _eta_value(spec, cut, complex(s), tol)
     return value
 

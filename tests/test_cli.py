@@ -1,11 +1,16 @@
+import contextlib
 import io
 import json
 import math
 import re
+import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zetadet.cli import (
+    COMMANDS,
     main,
     parse_config,
     render_csv,
@@ -14,6 +19,7 @@ from zetadet.cli import (
     scan_rows,
 )
 from zetadet.errors import SchemaError
+from zetadet.spectrum import square_spectrum
 
 PI = math.pi
 
@@ -92,6 +98,23 @@ class TestCommands:
         assert all(c["pass"] for c in res["checks"])
         for check in res["checks"]:
             assert {"name", "residual", "tolerance", "pass"} <= set(check)
+
+    def test_verify_builds_the_square_side_once(self, monkeypatch):
+        import zetadet.determinant as determinant
+
+        calls = []
+
+        def counted(spec, tol):
+            calls.append(spec)
+            return square_spectrum(spec, tol)
+
+        monkeypatch.setattr(determinant, "square_spectrum", counted)
+        model = {"type": "finite", "eigenvalues": [{"re": 1.0, "im": 0.5}, {"re": 1.0, "im": -0.5}, {"re": 2.0}]}
+        res = run(_job("verify", model))
+        assert [c["name"] for c in res["checks"]] == [
+            "det_eta_identity", "det_eta_identity_upper", "symmetric_factorization",
+        ]
+        assert len(calls) == 1
 
     def test_zeta_command(self):
         res = run(
@@ -442,6 +465,50 @@ class TestCliEntry:
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["code"] == "bad-params"
 
+    @pytest.mark.parametrize(
+        "job, extra, code",
+        [
+            pytest.param({"command": "eta"}, ["--config", "{tmp}/missing.json"], "bad-file", id="missing-config"),
+            pytest.param(
+                {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}},
+                ["--out", "{tmp}/no-such-dir/out.json"], "bad-file", id="out-in-missing-dir",
+            ),
+            pytest.param(
+                {"command": "zeta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}},
+                 "params": {"s": {"re": -400.0, "im": 0.0}}},
+                [], "Overflow", id="hurwitz-overflow",
+            ),
+            pytest.param(
+                {"command": "torsion", "model": {"type": "rank1", "a": {"re": 0.3, "im": 400.0}}},
+                [], "Overflow", id="ray-singer-overflow",
+            ),
+            pytest.param(
+                {"command": "zeta", "model": {"type": "finite", "eigenvalues": [{"re": 1e300, "im": 1.0}]},
+                 "params": {"s": {"re": -2.0, "im": 0.0}}},
+                [], "Overflow", id="finite-power-overflow",
+            ),
+            pytest.param(
+                {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}},
+                ["--format", "csv"], "bad-format", id="csv-for-det",
+            ),
+            pytest.param(
+                {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 1e9}}},
+                [], "Domain", id="term-cap",
+            ),
+            pytest.param(
+                {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}, "tolerances": 5},
+                ["--tol-overrides", "reality=0"], "bad-tolerances", id="overrides-on-non-object",
+            ),
+        ],
+    )
+    def test_file_overflow_and_format_errors_exit_2(self, monkeypatch, capsys, tmp_path, job, extra, code):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        argv = [job["command"], "--config", "-"] + [a.format(tmp=tmp_path) for a in extra]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == code
+
     def test_integral_float_multiplicity_accepted(self):
         lattice = {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}
         once = run(_job("det", {**lattice, "mu": 1}))["results"]["ldet"]
@@ -453,3 +520,99 @@ class TestCliEntry:
 def test_render_json_is_sorted_and_compact():
     text = render_json({"b": 1, "a": {"d": 2, "c": 3}})
     assert text == '{"a":{"c":3,"d":2},"b":1}\n'
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under arbitrary JSON-shaped jobs
+
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}))
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=-3, max_value=3),
+)
+_non_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=-(10**400), max_value=10**400),
+)
+_number = st.integers(0, 9).flatmap(lambda i: _non_float if i == 0 else _finite)
+_object = st.fixed_dictionaries
+_complex = _object({"re": _number, "im": _number})
+_matrix = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(_complex, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_model = st.one_of(
+    _object({"type": st.just("finite"), "eigenvalues": st.lists(
+        _object({"re": _number, "im": _number}, optional={"multiplicity": st.integers(1, 3)}),
+        min_size=1, max_size=4)}),
+    _object({"type": st.just("lattice"), "a": _complex}, optional={"mu": st.integers(1, 3)}),
+    _object({"type": st.just("rank1"), "a": _complex}),
+    _object({"type": st.just("monodromy"), "matrix": _matrix}),
+)
+_family = st.one_of(
+    _object({"kind": st.just("constant"), "matrix": _matrix}),
+    _object({"kind": st.just("rank1"), "a": _complex}),
+    _object({"kind": st.just("diagonal"), "a": st.lists(_complex, max_size=2)},
+            optional={"rates": st.lists(_complex, max_size=2)}),
+)
+# the counts that set the requested work are bounded; every other number is free
+_work = st.integers(min_value=-1, max_value=2)
+_PARAMS = {
+    "zeta": _object({"s": _complex}),
+    "scan": _object(
+        {"grid": _object({k: _number for k in ("reStart", "reStop", "imStart", "imStop")}
+                         | {"reSteps": _work, "imSteps": _work})},
+        optional={"h": st.one_of(_number, st.floats(min_value=1e-9, max_value=1e-4))},
+    ),
+    "monodromy": _object({"family": _family},
+                         optional={"steps": st.integers(min_value=60, max_value=80), "t": _number}),
+    "variation": _object(
+        {"path": _object({"kind": st.sampled_from(["affine", "sine"]), "a0": _complex},
+                         optional={"rate": _complex, "amp": _complex})},
+        optional={"dt": st.one_of(_number, st.floats(min_value=1e-6, max_value=1e-2)), "t": _number},
+    ),
+}
+
+
+@st.composite
+def _jobs(draw):
+    """A job of the right shape, half the time with one field broken.
+
+    A broken field has the wrong type or is missing.
+    """
+    command = draw(st.sampled_from(COMMANDS))
+    job = draw(_object(
+        {"command": st.just(command), "model": _model, "params": _PARAMS.get(command, st.just({}))},
+        optional={"theta": st.one_of(_number, st.floats(min_value=-1.5, max_value=-0.05))},
+    ))
+    node = job
+    while draw(st.booleans()):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if key != "command" and isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+        elif key != "command":
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_junk)
+            break
+    return job
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
+@given(_jobs())
+def test_any_job_keeps_the_exit_code_contract(job):
+    out, err = io.StringIO(), io.StringIO()
+    real_stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(job))
+    try:
+        # a warning would reach stderr beside the error object, so it fails the test
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([job["command"], "--config", "-"])
+    finally:
+        sys.stdin = real_stdin
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert set(json.loads(err.getvalue())["error"]) == {"code", "message"}

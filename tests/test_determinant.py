@@ -23,8 +23,10 @@ from zetadet import (
     ldet,
     pick_det_eta_cut,
     symmetric_spectrum_det,
+    is_symmetric_about_real_axis,
     verify_det_eta,
     verify_det_eta_upper,
+    verify_spectrum,
     zeta_at_zero,
 )
 from zetadet.complexcut import Sector, phase
@@ -170,6 +172,50 @@ class TestVerifyDetEta:
             spec = random_det_eta_spectrum(rng, -PI / 4)
             rep = verify_det_eta_upper(spec, -PI / 4)
             assert rep.residual < 1e-9
+
+
+class TestVerifySpectrum:
+    """One pass gives the reports, and the errors, of the three verifiers."""
+
+    @staticmethod
+    def _agrees(spec, theta):
+        lower, upper, sym = verify_spectrum(spec, theta)
+        assert lower == verify_det_eta(spec, theta)
+        assert upper == verify_det_eta_upper(spec, theta)
+        if is_symmetric_about_real_axis(spec):
+            assert sym == symmetric_spectrum_det(spec, theta)
+        else:
+            assert sym is None
+        return sym is not None
+
+    def test_det_eta_suite(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            self._agrees(random_det_eta_spectrum(rng, -PI / 4), -PI / 4)
+        for a in (0.25, 0.3 + 0.2j, 0.7 - 0.4j):
+            self._agrees(Lattice(a), pick_det_eta_cut(Lattice(a)))
+
+    def test_symmetric_suite(self):
+        rng = random.Random(1111)
+        for i in range(30):
+            spec = random_symmetric_spectrum(rng, i % 3)
+            assert self._agrees(spec, pick_det_eta_cut(spec))
+
+    @pytest.mark.parametrize(
+        "spec, theta, error",
+        [
+            (Finite.of(1), -2.0, ValueError),
+            (Finite.of(cmath.exp(-1.3j)), -PI / 4, HypothesisViolatedError),
+            # beside the upper cut: D^2 fails its certificate before LDet_{theta-pi}
+            (Finite.of(2 * cmath.exp(1j * (0.75 * PI + 3e-10))), -PI / 4, NotAgmonError),
+        ],
+    )
+    def test_raises_what_the_lower_verifier_raises(self, spec, theta, error):
+        with pytest.raises(error) as one_pass:
+            verify_spectrum(spec, theta)
+        with pytest.raises(error) as lower:
+            verify_det_eta(spec, theta)
+        assert str(one_pass.value) == str(lower.value)
 
 
 class TestAngleShift:

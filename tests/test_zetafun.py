@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,3 +277,25 @@ def test_lattice_zeta_at_zero_vanishes(re_a, im_a, theta):
     except NotAgmonError:
         return
     assert abs(val) < 1e-11
+
+
+class TestExplicitTermCap:
+    """Jobs that would sum an unbounded number of terms one by one are refused."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            # about 0.5 / tan(9e-9) = 5.6e7 head terms next to the tail
+            pytest.param(lambda: zeta_ds_at_zero(Lattice(0.3 + 0.5j), -1e-8), id="cut-beside-tail"),
+            pytest.param(lambda: zeta_ds_at_zero(Lattice(0.3 + 1e9j), -PI / 4), id="far-lattice"),
+            # the Euler-Maclaurin shift grows with |Im s|
+            pytest.param(lambda: spectral_zeta(Lattice(0.3), -4.0, 0.5 + 1e9j), id="large-im-s"),
+            pytest.param(lambda: spectral_zeta(Lattice(2 + 6.07e242j), -PI / 4, 0.0), id="huge-im-a"),
+        ],
+    )
+    def test_refused_promptly(self, compute):
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match="cap"):
+            compute()
+        assert time.perf_counter() - started < 2.0
+
