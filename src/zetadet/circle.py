@@ -17,9 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 from .complexcut import CutAngle
 from .config import (
@@ -42,6 +40,9 @@ from .spectrum import (
     _normalize_log_param,
 )
 from .zetafun import eta_invariant, zeta_ds_at_zero
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -71,6 +72,7 @@ class CircleModel:
 
     def representation(self) -> np.ndarray:
         """Diagonal loop representation exp(2*pi*i*a_j), per multiplicity."""
+        import numpy as np
         diag = []
         for a, m in self.log_params:
             diag.extend([cmath.exp(2j * _PI * a)] * m)
@@ -104,6 +106,12 @@ def build_rank1(
 ) -> CircleModel:
     """Rank-1 model for the connection d + i*a*dx; spectrum {a + n}."""
     a = complex(a)
+    spacing = math.ulp(a.real)
+    if spacing > tol.acyclic_distance:
+        raise NonAcyclicError(
+            f"log parameter {a}: the float spacing {spacing:.3g} at its real part exceeds "
+            f"acyclic_distance {tol.acyclic_distance:.3g}, so its distance to the integers is unresolved"
+        )
     if dist_to_integers(a) <= tol.acyclic_distance:
         raise NonAcyclicError(f"log parameter {a} is within tolerance of an integer")
     return CircleModel(((a, 1),))
@@ -114,6 +122,7 @@ def build_from_monodromy(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CircleModel:
     """Model from a monodromy matrix: a_j = log(mu_j) / (2*pi*i), Re in (0, 1]."""
+    import numpy as np
     mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("monodromy must be a square matrix")
@@ -124,6 +133,8 @@ def build_from_monodromy(
     params: list[Tuple[complex, int]] = []
     for mu in eigvals:
         mu = complex(mu)
+        if not cmath.isfinite(mu):
+            raise OverflowError(f"monodromy eigenvalue {mu} lies beyond the float range")
         if mu == 0:
             raise NonAcyclicError("monodromy matrix is singular")
         a = cmath.log(mu) / (2j * _PI)
@@ -193,20 +204,35 @@ def ray_singer_torsion(
     cut = CutAngle(-_PI)
     for a, m in model.log_params:
         total += -zeta_ds_at_zero(HermQuadLattice(a, m), cut, tol=tol)
-    return math.exp(0.5 * total.real)
+    try:
+        return math.exp(0.5 * total.real)
+    except OverflowError:
+        raise OverflowError(
+            f"Ray-Singer torsion of {model} is exp({0.5 * total.real:.6g}), beyond the float range"
+        ) from None
 
 
 def arg_class(m: Sequence[Sequence[complex]] | np.ndarray) -> complex:
     """log(det M) / (2*pi*i) with the real part reduced into [0, 1)."""
-    det = complex(np.linalg.det(np.asarray(m, dtype=complex)))
+    import numpy as np
+    return _det_class(complex(np.linalg.det(np.asarray(m, dtype=complex))))
+
+
+def _det_class(det: complex) -> complex:
     if det == 0:
         raise ValueError("arg_class requires an invertible matrix")
+    if not cmath.isfinite(det):
+        raise OverflowError(f"the determinant {det} of the Arg class lies beyond the float range")
     val = cmath.log(det) / (2j * _PI)
     return complex(val.real - math.floor(val.real), val.imag)
 
 
 def model_arg_class(model: CircleModel) -> complex:
-    return arg_class(model.representation())
+    """``arg_class`` of ``model.representation()``, from the product of its diagonal."""
+    det = 1.0 + 0.0j
+    for a, m in model.log_params:
+        det *= cmath.exp(2j * _PI * a) ** m
+    return _det_class(det)
 
 
 def trs_comparison(
@@ -255,6 +281,7 @@ class ConnectionFamily:
     n_grid: int = 256
 
     def __post_init__(self):
+        import numpy as np
         if self.n_grid < MIN_FAMILY_GRID:
             raise ValueError(f"sampling grid needs at least {MIN_FAMILY_GRID} points")
         a0 = np.asarray(self.a_form(0.0, 0.0), dtype=complex)
@@ -266,12 +293,14 @@ class ConnectionFamily:
 
     @staticmethod
     def constant(matrix) -> "ConnectionFamily":
+        import numpy as np
         mat = np.asarray(matrix, dtype=complex)
         return ConnectionFamily(lambda x, t: mat, mat.shape[0])
 
     @staticmethod
     def rank1_path(a0: complex) -> "ConnectionFamily":
         """A(x, t) = i*(a0 + t), the line-bundle family d + i*(a0+t)*dx."""
+        import numpy as np
         a0 = complex(a0)
         return ConnectionFamily(
             lambda x, t: np.array([[1j * (a0 + t)]], dtype=complex),
@@ -281,6 +310,7 @@ class ConnectionFamily:
 
     @staticmethod
     def diagonal_path(a_values: Sequence[complex], rates: Sequence[complex]) -> "ConnectionFamily":
+        import numpy as np
         a_arr = np.asarray(a_values, dtype=complex)
         r_arr = np.asarray(rates, dtype=complex)
         dim = len(a_arr)
@@ -294,23 +324,32 @@ class ConnectionFamily:
 def monodromy(
     family: ConnectionFamily, steps: int = 256, t: float = 0.0
 ) -> np.ndarray:
-    """Phi(2*pi) from Phi' + A(x) Phi = 0, Phi(0) = Id (classical RK4)."""
+    """Phi(2*pi) from Phi' + A(x) Phi = 0, Phi(0) = Id (classical RK4).
+
+    The connection is evaluated once per node: k2 and k3 share x + h/2, and
+    the end of one step is the start of the next.
+    """
+    import numpy as np
     if steps < MIN_ODE_STEPS:
         raise ValueError(f"monodromy integration needs at least {MIN_ODE_STEPS} steps")
     h = _TWO_PI / steps
     phi = np.eye(family.dim, dtype=complex)
 
-    def rhs(x, y):
-        return -np.asarray(family.a_form(x, t), dtype=complex) @ y
+    def minus_a(x):
+        return -np.asarray(family.a_form(x, t), dtype=complex)
 
     x = 0.0
+    a_start = minus_a(x)
     for _ in range(steps):
-        k1 = rhs(x, phi)
-        k2 = rhs(x + 0.5 * h, phi + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, phi + 0.5 * h * k2)
-        k4 = rhs(x + h, phi + h * k3)
+        a_mid = minus_a(x + 0.5 * h)
+        a_end = minus_a(x + h)
+        k1 = a_start @ phi
+        k2 = a_mid @ (phi + 0.5 * h * k1)
+        k3 = a_mid @ (phi + 0.5 * h * k2)
+        k4 = a_end @ (phi + h * k3)
         phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x += h
+        a_start = a_end
     return phi
 
 
@@ -334,6 +373,7 @@ def arg_derivative_check(
     monodromy (mod-Z aware); the right side is a trapezoid integral of the
     trace of the family derivative.
     """
+    import numpy as np
     if family.psi is None:
         raise ValueError("family carries no psi samples")
     arg_p = arg_class(monodromy(family, steps, t + dt))

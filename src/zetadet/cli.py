@@ -13,6 +13,7 @@ Output is deterministic for a fixed config and build except for the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -21,8 +22,6 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from typing import Any
-
-import numpy as np
 
 from . import circle as circ
 from .complexcut import CutAngle
@@ -89,13 +88,13 @@ def _as_complex(obj, where: str) -> complex:
     _fail("bad-complex", f"{where}: complex numbers are {{re, im}} objects")
 
 
-def _as_matrix(rows, code: str, where: str) -> np.ndarray:
+def _as_matrix(rows, code: str, where: str) -> list[list[complex]]:
     square = isinstance(rows, list) and rows and all(
         isinstance(row, list) and len(row) == len(rows) for row in rows
     )
     if not square:
         _fail(code, f"{where} is a nonempty square list of rows")
-    return np.array([[_as_complex(x, f"{where} entry") for x in row] for row in rows], dtype=complex)
+    return [[_as_complex(x, f"{where} entry") for x in row] for row in rows]
 
 
 def _as_tolerance(name: str, value):
@@ -116,6 +115,13 @@ class JobConfig:
     params: dict
     tolerances: Tolerances
     raw: dict
+
+
+def _builds_matrices(cfg: JobConfig) -> bool:
+    """Whether the job builds or integrates matrices, the only work that needs numpy."""
+    if cfg.command in ("monodromy", "variation"):
+        return True
+    return cfg.command != "scan" and (cfg.model or {}).get("type") == "monodromy"
 
 
 def parse_config(raw: dict) -> JobConfig:
@@ -221,6 +227,7 @@ def _path_from_params(params: dict):
 
 
 def _family_for_path(path_kind: str, a0: complex, coeff: complex):
+    import numpy as np
     if path_kind == "affine":
         return circ.ConnectionFamily.diagonal_path([a0], [coeff])
     return circ.ConnectionFamily(
@@ -427,8 +434,13 @@ def _parse_tol_overrides(text: str) -> dict:
     return overrides
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SchemaError("bad-args", message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="zetadet",
         description="zeta determinants, eta invariants, and refined torsion",
     )
@@ -437,9 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--tol-overrides", default="", help="k=v[,k=v...] tolerance overrides")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if args.config == "-":
             text = sys.stdin.read()
         else:
@@ -457,7 +469,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.tol_overrides and isinstance(raw.get("tolerances", {}), dict):
             raw["tolerances"] = {**raw.get("tolerances", {}), **_parse_tol_overrides(args.tol_overrides)}
         cfg = parse_config(raw)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        floating_point = contextlib.nullcontext()
+        if _builds_matrices(cfg):
+            import numpy as np
+            floating_point = np.errstate(over="raise", invalid="raise", divide="raise")
+        with floating_point:
             result = run(cfg)
         rendered = render_json(result) if args.format == "json" else render_csv(result)
         if args.out:

@@ -69,7 +69,10 @@ def ldet(
     """Log-determinant -zeta_theta'(0, D) and its exponential."""
     cut = as_cut(theta)
     ld = -zeta_ds_at_zero(spec, cut, tol=tol)
-    return LDetResult(ld, cmath.exp(ld), cut)
+    try:
+        return LDetResult(ld, cmath.exp(ld), cut)
+    except OverflowError:
+        raise OverflowError(f"det of {spec} at theta={cut.raw} is exp({ld}), beyond the float range") from None
 
 
 def graded_ldet(

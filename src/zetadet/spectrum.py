@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .complexcut import CutAngle, ang_dist, as_cut, phase
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import NotAgmonError
+from .errors import DomainError, NotAgmonError
 
 _PI = math.pi
 
@@ -509,6 +509,8 @@ def square_spectrum(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Spe
         acc: dict = {}
         for v, m in spec.items():
             sq = v * v
+            if sq == 0:
+                raise DomainError(f"the square of eigenvalue {v} underflows to 0")
             k = merge_key(sq, sig)
             if k in acc:
                 acc[k] = (acc[k][0], acc[k][1] + m)

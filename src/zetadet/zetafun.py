@@ -365,7 +365,10 @@ def spectral_zeta(
     """zeta_theta(s, D) = sum of m_k * lambda_k^{-s} along the cut."""
     cut = as_cut(theta)
     certify_agmon(spec, cut, tol.agmon_epsilon)
-    value, err = _zeta_value(spec, cut, complex(s), tol)
+    try:
+        value, err = _zeta_value(spec, cut, complex(s), tol)
+    except OverflowError:
+        raise OverflowError(f"spectral zeta of {spec} at s={complex(s)} overflows the float range") from None
     return ZetaResult(value, err)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zetadet import (
+    CircleModel,
     ConnectionFamily,
     Lattice,
     NonAcyclicError,
@@ -21,6 +22,7 @@ from zetadet import (
     refined_torsion,
     trs_comparison,
 )
+from zetadet.circle import model_arg_class
 
 from helpers import random_invertible
 
@@ -45,6 +47,11 @@ class TestBuild:
             build_rank1(1.0)
         with pytest.raises(NonAcyclicError):
             build_rank1(2 + 1e-10j)
+
+    @pytest.mark.parametrize("a", [1e300, -1e9 + 0.5, 1e15 + 0.5j])
+    def test_rank1_unresolved_real_part_rejected(self, a):
+        with pytest.raises(NonAcyclicError, match="float spacing .* exceeds acyclic_distance"):
+            build_rank1(a)
 
     def test_monodromy_scalar(self):
         model = build_from_monodromy([[-1.0]])
@@ -160,6 +167,11 @@ class TestRaySinger:
             assert rep.residual_modulus < 1e-6 * (1 + abs(rep.torsion))
             assert rep.residual_arg_pairing < 1e-6
 
+    def test_arg_class_of_model_is_that_of_its_representation(self):
+        for params in ((0.25 + 0.1j, 1), (0.75 - 0.2j, 2)), ((0.5 + 0.3j, 3),), ((0.9 - 2.0j, 1),):
+            model = CircleModel(params)
+            assert model_arg_class(model) == pytest.approx(arg_class(model.representation()), abs=1e-12)
+
 
 class TestMonodromy:
     def test_zero_connection(self):
@@ -189,6 +201,19 @@ class TestMonodromy:
         d1 = np.linalg.det(monodromy(base, 2048))
         d2 = np.linalg.det(monodromy(gauged, 2048))
         assert d2 == pytest.approx(d1, abs=1e-9)
+
+    def test_connection_evaluated_once_per_node(self):
+        nodes = []
+
+        def a_form(x, t):
+            nodes.append(x)
+            return np.array([[1j * (0.3 + 0.1 * math.cos(x))]])
+
+        fam = ConnectionFamily(a_form, 1)
+        nodes.clear()
+        monodromy(fam, 64)
+        assert len(nodes) == 2 * 64 + 1
+        assert len(set(nodes)) == len(nodes)
 
     def test_step_minimum(self):
         fam = ConnectionFamily.constant(np.zeros((1, 1)))

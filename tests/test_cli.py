@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
@@ -488,6 +491,15 @@ class TestCliEntry:
                 [], "Overflow", id="finite-power-overflow",
             ),
             pytest.param(
+                {"command": "monodromy",
+                 "params": {"family": {"kind": "constant", "matrix": [[{"re": 1e200, "im": 0.0}]]}}},
+                [], "FloatingPoint", id="numpy-overflow",
+            ),
+            pytest.param(
+                {"command": "verify", "model": {"type": "monodromy", "matrix": [[1e200, 0], [0, 1e200]]}},
+                [], "Overflow", id="monodromy-model-overflow",
+            ),
+            pytest.param(
                 {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}},
                 ["--format", "csv"], "bad-format", id="csv-for-det",
             ),
@@ -504,10 +516,76 @@ class TestCliEntry:
     def test_file_overflow_and_format_errors_exit_2(self, monkeypatch, capsys, tmp_path, job, extra, code):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
         argv = [job["command"], "--config", "-"] + [a.format(tmp=tmp_path) for a in extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err)["error"]["code"] == code
+
+    @pytest.mark.parametrize(
+        "job, words",
+        [
+            pytest.param(
+                {"command": "zeta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}},
+                 "params": {"s": {"re": -400.0, "im": 0.0}}},
+                ("spectral zeta", "Lattice(a=(0.3+0j)", "s=(-400+0j)"), id="zeta",
+            ),
+            pytest.param(
+                {"command": "torsion", "model": {"type": "rank1", "a": {"re": 0.3, "im": 400.0}}},
+                ("Ray-Singer torsion", "(0.3+400j)"), id="ray-singer",
+            ),
+            pytest.param(
+                {"command": "torsion", "model": {"type": "rank1", "a": {"re": 0.3, "im": -400.0}}},
+                ("det of", "Lattice(a=(0.3-400j)"), id="det",
+            ),
+            pytest.param(
+                {"command": "verify", "model": {"type": "monodromy", "matrix": [[1e308, 1e308], [1e308, 1e308]]}},
+                ("monodromy eigenvalue",), id="monodromy-eigenvalue",
+            ),
+        ],
+    )
+    def test_overflow_names_quantity_and_input(self, monkeypatch, capsys, job, words):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main([job["command"], "--config", "-"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "Overflow"
+        assert all(w in error["message"] for w in words), error["message"]
+
+    def test_tiny_eigenvalue_refused_as_underflow(self, monkeypatch, capsys):
+        job = {"command": "verify", "model": {"type": "finite", "eigenvalues": [
+            {"re": 2.0, "im": 0.5}, {"re": 0.0, "im": 1e-200}]}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["verify", "--config", "-"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "Domain"
+        assert "underflows" in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["frobnicate", "--config", "-"], id="unknown-command"),
+            pytest.param(["eta"], id="missing-config"),
+            pytest.param(["eta", "--config", "-", "--format", "xml"], id="bad-format"),
+            pytest.param(["eta", "--config", "-", "--frobnicate"], id="unknown-option"),
+            pytest.param([], id="no-arguments"),
+        ],
+    )
+    def test_bad_command_line_exits_2_with_error_object(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err)["error"]["code"] == code
+        assert "usage" not in captured.err
+        error = json.loads(captured.err)["error"]
+        assert set(error) == {"code", "message"} and error["code"] == "bad-args"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
     def test_integral_float_multiplicity_accepted(self):
         lattice = {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}
@@ -616,3 +694,78 @@ def test_any_job_keeps_the_exit_code_contract(job):
     assert "Traceback" not in err.getvalue()
     if rc == 2:
         assert set(json.loads(err.getvalue())["error"]) == {"code", "message"}
+
+
+_JOB_WITHOUT_COMMAND = {"model": {"type": "rank1", "a": 0.3}, "params": {"grid": ONE_POINT_GRID}}
+_arg = st.one_of(
+    st.sampled_from(COMMANDS + ("frobnicate", "-", "--config", "--out", "--format", "json", "csv",
+                                "xml", "--tol-overrides", "reality=1e-9", "x=y", "-h", "--help")),
+    st.text(alphabet="-=,acefjmnorstuvx", max_size=6),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.lists(_arg, max_size=7))
+def test_any_command_line_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    real_stdin, real_cwd = sys.stdin, os.getcwd()
+    sys.stdin = io.StringIO(json.dumps(_JOB_WITHOUT_COMMAND))
+    try:
+        # --out may name any file, so the command line runs in a scratch directory
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # --help
+                    rc = exc.code
+                    assert rc == 0 and "usage" in out.getvalue()
+    finally:
+        sys.stdin = real_stdin
+        os.chdir(real_cwd)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert set(json.loads(err.getvalue())["error"]) == {"code", "message"}
+
+
+# ---------------------------------------------------------------------------
+# cold start: numpy is loaded by matrix jobs only
+
+_NUMPY_FREE_JOBS = [
+    {"command": "scan", "params": {"grid": {**ONE_POINT_GRID, "imSteps": 2, "imStop": 0.2}}},
+    {"command": "verify", "model": {"type": "finite", "eigenvalues": [{"re": 1.0, "im": 0.5}, {"re": 2.0}]}},
+    {"command": "torsion", "model": {"type": "rank1", "a": {"re": 0.3, "im": 0.1}}},
+    {"command": "verify", "model": {"type": "rank1", "a": {"re": 0.3, "im": 0.1}}},
+    {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}},
+    {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}},
+    {"command": "zeta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}, "params": {"s": 2.0}},
+]
+_MATRIX_JOB = {"command": "monodromy", "params": {"family": {"kind": "rank1", "a": 0.3}, "steps": 64}}
+
+_COLD_START = """
+import contextlib, io, json, sys
+import zetadet
+from zetadet.cli import main
+seen = [[None, "numpy" in sys.modules]]
+for job in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(json.dumps(job))
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([main([job["command"], "--config", "-"]), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_matrix_jobs_import_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    jobs = json.dumps(_NUMPY_FREE_JOBS + [_MATRIX_JOB])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, jobs], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen[0] == [None, False]  # import zetadet
+    assert seen[1:-1] == [[0, False]] * len(_NUMPY_FREE_JOBS)
+    assert seen[-1] == [0, True]

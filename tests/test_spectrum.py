@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from zetadet import (
     DirectSum,
+    DomainError,
     Eigenvalue,
     Finite,
     HermQuadLattice,
@@ -264,6 +265,10 @@ class TestSquare:
     def test_sign_pair_merges(self):
         sq = square_spectrum(Finite.of(1, -1))
         assert sq.items() == ((1 + 0j, 2),)
+
+    def test_underflowing_square_refused(self):
+        with pytest.raises(DomainError, match="underflows"):
+            square_spectrum(Finite.of(2 + 0.5j, 1e-200j))
 
     def test_lattice_square_is_symbolic(self):
         sq = square_spectrum(Lattice(0.25, 2))
