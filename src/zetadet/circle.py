@@ -228,11 +228,12 @@ def _det_class(det: complex) -> complex:
 
 
 def model_arg_class(model: CircleModel) -> complex:
-    """``arg_class`` of ``model.representation()``, from the product of its diagonal."""
-    det = 1.0 + 0.0j
-    for a, m in model.log_params:
-        det *= cmath.exp(2j * _PI * a) ** m
-    return _det_class(det)
+    """``arg_class`` of ``model.representation()``: sum of m * a_j, real part reduced into [0, 1).
+
+    The determinant exp(2*pi*i * sum m * a_j) is never formed, so no Im a underflows it.
+    """
+    total = sum(m * a for a, m in model.log_params)
+    return complex(total.real - math.floor(total.real), total.imag)
 
 
 def trs_comparison(
@@ -340,16 +341,22 @@ def monodromy(
 
     x = 0.0
     a_start = minus_a(x)
-    for _ in range(steps):
-        a_mid = minus_a(x + 0.5 * h)
-        a_end = minus_a(x + h)
-        k1 = a_start @ phi
-        k2 = a_mid @ (phi + 0.5 * h * k1)
-        k3 = a_mid @ (phi + 0.5 * h * k2)
-        k4 = a_end @ (phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x += h
-        a_start = a_end
+    try:
+        for _ in range(steps):
+            a_mid = minus_a(x + 0.5 * h)
+            a_end = minus_a(x + h)
+            k1 = a_start @ phi
+            k2 = a_mid @ (phi + 0.5 * h * k1)
+            k3 = a_mid @ (phi + 0.5 * h * k2)
+            k4 = a_end @ (phi + h * k3)
+            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x += h
+            a_start = a_end
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"RK4 monodromy of a {family.dim}x{family.dim} connection family at t={t} "
+            f"with {steps} steps: {exc}"
+        ) from None
     return phi
 
 

@@ -502,15 +502,26 @@ def is_symmetric_about_real_axis(
     return tally(False) == tally(True)
 
 
+def _square(v: complex) -> complex:
+    sq = v * v
+    if sq == 0:
+        raise DomainError(f"the square of eigenvalue {v} underflows to 0")
+    return sq
+
+
 def square_spectrum(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
-    """Eigenvalues squared; coinciding squares merge by summing multiplicities."""
+    """Eigenvalues squared; coinciding squares merge by summing multiplicities.
+
+    A lattice is refused when its eigenvalue nearest 0, a - round(Re a), squares to 0.
+    """
     sig = tol.merge_significant_digits
+    lattice = spec.base if isinstance(spec, Restricted) else spec
+    if isinstance(lattice, Lattice):
+        _square(lattice.a - round(lattice.a.real))
     if isinstance(spec, Finite):
         acc: dict = {}
         for v, m in spec.items():
-            sq = v * v
-            if sq == 0:
-                raise DomainError(f"the square of eigenvalue {v} underflows to 0")
+            sq = _square(v)
             k = merge_key(sq, sig)
             if k in acc:
                 acc[k] = (acc[k][0], acc[k][1] + m)

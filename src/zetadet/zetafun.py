@@ -1,14 +1,19 @@
 """Spectral zeta and eta functions via analytic continuation.
 
-Finite spectra are summed exactly.  Lattice-type spectra are split into two
-tails: finitely many eigenvalues near the origin are summed with exact cut
-branches, and the far tails — whose branch winding is constant once the
-arguments settle near the accumulation directions — are continued with the
-Hurwitz zeta kernel, times the winding phase ``exp(-2*pi*i*k*s)``.
+Finite spectra are summed exactly.  Each lattice family ({a + n}, its squares
+{(a + n)^2} and the Hermitian {|a + n|^2}) has a layout, the tuple
+``(head, scale, v2, groups)``: head segments ``(sign, points)`` near the origin,
+summed with exact cut branches; the Hurwitz scale, 1 for {a + n} and 2 for the
+squared families; v^2, the squared Im a of the Hermitian family and 0 otherwise;
+and tail groups ``(sign, k, (w, ...))`` of far tails with constant winding.  One
+evaluator gives every family's zeta(s), with its error estimate, as
 
-The derivative at s = 0 is assembled from the exact identities
-``zeta_H(0, q) = 1/2 - q`` and ``zeta_H'(0, q) = log Gamma(q) - log(2*pi)/2``
-rather than by numerical differentiation.
+    sum sign * lambda^{-s} + sum sign * exp(-i*pi*k*s) * sum_w T(s, w),
+    T(s, w) = sum_j binom(-s, j) * v^(2j) * zeta_H(scale*s + 2j, w),
+
+and zeta'(0) exactly, from ``zeta_H(0, w) = 1/2 - w`` and
+``zeta_H'(0, w) = log Gamma(w) - log(2*pi)/2``.  The eta function of {a + n}
+evaluates its layout with the left points negated and sign -1.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .spectrum import (
 
 _PI = math.pi
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * _PI)
-_HERM_SERIES_CAP = 200
+_SERIES_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -90,234 +95,151 @@ def _tail_buffer(q: complex, gap: float, halve: bool = False) -> int:
     return max(4, explicit_terms(need) + 1)
 
 
-def _lat_split(a: complex):
-    atil, _ = _normalize_log_param(a)
-    return atil, 1.0 - atil
-
-
 # ---------------------------------------------------------------------------
-# integer-lattice family {a + n}
+# layouts: each lattice family as head points plus Hurwitz tail groups
 
 
-def _lat_zeta(a, mu, cut: CutAngle, s, tol: Tolerances):
-    if s == 1:
-        raise PoleError(1)
-    atil, qm = _lat_split(a)
+def _lattice(f: Lattice, cut: CutAngle) -> tuple:
+    """{a + n}: right points a~ + m and left points -(1 - a~ + m), Re a~ in (0, 1]."""
+    atil, _ = _normalize_log_param(f.a)
+    qm = 1.0 - atil
     th = cut.normalized
-    k_r = _tail_winding(0.0, th)
-    k_l = _tail_winding(_PI, th)
     buf_r = _tail_buffer(atil, ang_dist(th, 0.0))
     buf_l = _tail_buffer(qm, ang_dist(th, _PI))
-    total = 0.0 + 0.0j
-    for m in range(buf_r):
-        total += pow_cut(atil + m, s, cut, tol.on_cut_angle)
-    for m in range(buf_l):
-        total += pow_cut(-(qm + m), s, cut, tol.on_cut_angle)
-    z_r, e_r = _hz(s, atil + buf_r)
-    z_l, e_l = _hz(s, qm + buf_l)
-    total += cmath.exp(-2j * _PI * k_r * s) * z_r
-    total += cmath.exp(-1j * _PI * (2 * k_l + 1) * s) * z_l
-    return mu * total, mu * (e_r + e_l)
+    head = ((1, [atil + m for m in range(buf_r)] + [-(qm + m) for m in range(buf_l)]),)
+    k_r, k_l = 2 * _tail_winding(0.0, th), 2 * _tail_winding(_PI, th) + 1
+    return head, 1, 0.0, ((1, k_r, (atil + buf_r,)), (1, k_l, (qm + buf_l,)))
 
 
-def _lat_dzeta0(a, mu, cut: CutAngle, tol: Tolerances) -> complex:
-    atil, qm = _lat_split(a)
+def _lattice_eta(f: Lattice, cut: CutAngle, tol: Tolerances) -> tuple:
+    """{a + n} for eta: left points negated, with sign -1; imaginary-axis points left out."""
+    atil, _ = _normalize_log_param(f.a)
+    qm = 1.0 - atil
     th = cut.normalized
-    k_r = _tail_winding(0.0, th)
-    k_l = _tail_winding(_PI, th)
-    buf_r = _tail_buffer(atil, ang_dist(th, 0.0))
-    buf_l = _tail_buffer(qm, ang_dist(th, _PI))
-    acc = 0.0 + 0.0j
-    for m in range(buf_r):
-        acc -= log_cut(atil + m, cut, tol.on_cut_angle)
-    for m in range(buf_l):
-        acc -= log_cut(-(qm + m), cut, tol.on_cut_angle)
-    w_r = atil + buf_r
-    w_l = qm + buf_l
-    acc += -2j * _PI * k_r * (0.5 - w_r) + log_gamma(w_r) - _HALF_LOG_TWO_PI
-    acc += -1j * _PI * (2 * k_l + 1) * (0.5 - w_l) + log_gamma(w_l) - _HALF_LOG_TWO_PI
-    return mu * acc
-
-
-def _lat_eta(a, mu, cut: CutAngle, s, tol: Tolerances):
-    if s == 1:
-        raise PoleError(1)
-    atil, qm = _lat_split(a)
-    th = cut.normalized
-    k0 = _tail_winding(0.0, th)
     gap = ang_dist(th, 0.0)
-    buf_r = _tail_buffer(atil, gap)
-    buf_l = _tail_buffer(qm, gap)
+    buf_r, buf_l = _tail_buffer(atil, gap), _tail_buffer(qm, gap)
     skip_r = 1 if atil.real <= tol.imag_axis else 0
     skip_l = 1 if qm.real <= tol.imag_axis else 0
-    phase = cmath.exp(-2j * _PI * k0 * s)
-    pos = sum(
-        pow_cut(atil + m, s, cut, tol.on_cut_angle) for m in range(skip_r, buf_r)
-    )
-    neg = sum(
-        pow_cut(qm + m, s, cut, tol.on_cut_angle) for m in range(skip_l, buf_l)
-    )
-    z_r, e_r = _hz(s, atil + buf_r)
-    z_l, e_l = _hz(s, qm + buf_l)
-    value = mu * ((pos + phase * z_r) - (neg + phase * z_l))
-    return value, mu * (e_r + e_l)
+    head = ((1, [atil + m for m in range(skip_r, buf_r)]), (-1, [qm + m for m in range(skip_l, buf_l)]))
+    k = 2 * _tail_winding(0.0, th)
+    return head, 1, 0.0, ((1, k, (atil + buf_r,)), (-1, k, (qm + buf_l,)))
+
+
+def _quad(f: QuadLattice, cut: CutAngle) -> tuple:
+    """{(a + n)^2}: both halves of the lattice square onto the tail at 0."""
+    atil, _ = _normalize_log_param(f.a)
+    qm = 1.0 - atil
+    th = cut.normalized
+    gap = ang_dist(th, 0.0)
+    buf_r, buf_l = _tail_buffer(atil, gap, halve=True), _tail_buffer(qm, gap, halve=True)
+    head = ((1, [(atil + m) ** 2 for m in range(buf_r)] + [(qm + m) ** 2 for m in range(buf_l)]),)
+    return head, 2, 0.0, ((1, 2 * _tail_winding(0.0, th), (atil + buf_r, qm + buf_l)),)
+
+
+def _herm(f: HermQuadLattice, cut: CutAngle) -> tuple:
+    """{|a + n|^2}: the squares of Re a + n, offset by v^2 = (Im a)^2."""
+    atil, _ = _normalize_log_param(f.a)
+    points, ws = [], []
+    for q in (atil, 1.0 - atil):
+        # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
+        buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
+        points += [abs(q + m) ** 2 for m in range(buf)]
+        ws.append(q.real + buf)
+    k = 2 * _tail_winding(0.0, cut.normalized)
+    return ((1, points),), 2, atil.imag * atil.imag, ((1, k, tuple(ws)),)
+
+
+_LAYOUTS = {Lattice: _lattice, QuadLattice: _quad, HermQuadLattice: _herm}
 
 
 # ---------------------------------------------------------------------------
-# squared lattice {(a + n)^2}
+# the evaluator
 
 
-def _quad_zeta(a, mu, cut: CutAngle, s, tol: Tolerances):
-    if s == 0.5:
-        raise PoleError(0.5)
-    atil, qm = _lat_split(a)
-    th = cut.normalized
-    k0 = _tail_winding(0.0, th)
-    gap = ang_dist(th, 0.0)
-    buf_r = _tail_buffer(atil, gap, halve=True)
-    buf_l = _tail_buffer(qm, gap, halve=True)
-    total = 0.0 + 0.0j
-    for m in range(buf_r):
-        v = (atil + m) ** 2
-        total += pow_cut(v, s, cut, tol.on_cut_angle)
-    for m in range(buf_l):
-        v = (qm + m) ** 2
-        total += pow_cut(v, s, cut, tol.on_cut_angle)
-    z_r, e_r = _hz(2 * s, atil + buf_r)
-    z_l, e_l = _hz(2 * s, qm + buf_l)
-    total += cmath.exp(-2j * _PI * k0 * s) * (z_r + z_l)
-    return mu * total, mu * (e_r + e_l)
-
-
-def _quad_dzeta0(a, mu, cut: CutAngle, tol: Tolerances) -> complex:
-    atil, qm = _lat_split(a)
-    th = cut.normalized
-    k0 = _tail_winding(0.0, th)
-    gap = ang_dist(th, 0.0)
-    buf_r = _tail_buffer(atil, gap, halve=True)
-    buf_l = _tail_buffer(qm, gap, halve=True)
-    acc = 0.0 + 0.0j
-    for m in range(buf_r):
-        acc -= log_cut((atil + m) ** 2, cut, tol.on_cut_angle)
-    for m in range(buf_l):
-        acc -= log_cut((qm + m) ** 2, cut, tol.on_cut_angle)
-    w_r = atil + buf_r
-    w_l = qm + buf_l
-    acc += -2j * _PI * k0 * ((0.5 - w_r) + (0.5 - w_l))
-    acc += 2.0 * (log_gamma(w_r) - _HALF_LOG_TWO_PI)
-    acc += 2.0 * (log_gamma(w_l) - _HALF_LOG_TWO_PI)
-    return mu * acc
-
-
-# ---------------------------------------------------------------------------
-# Hermitian-Laplacian lattice {(n + a)(n + conj a)} — positive reals
-
-
-def _herm_pole_check(s: complex):
-    if s.imag == 0.0:
-        t = 0.5 - s.real
-        if t >= 0.0 and t == round(t):
-            raise PoleError(s)
-
-
-def _herm_buffer(q: complex) -> int:
-    # binomial tail needs (Im q / (Re q + K))^2 < 1/4 and Re q + K >= 1
-    v = abs(q.imag)
-    return max(4, explicit_terms(2.0 * v + 1.0 - q.real) + 1)
-
-
-def _herm_tail_series(s, w: float, v2: float, accumulate_err):
-    """sum_{j>=0} binom(-s, j) * v^(2j) * zeta_H(2s + 2j, w)."""
-    series = 0.0 + 0.0j
-    b = 1.0 + 0.0j
-    vpow = 1.0
-    for j in range(_HERM_SERIES_CAP):
-        if j > 0:
-            b *= (-s - (j - 1)) / j
-            vpow *= v2
-            if vpow == 0.0:
-                break
-        zj, ej = _hz(2 * s + 2 * j, w)
-        term = b * vpow * zj
-        series += term
-        accumulate_err(abs(b) * vpow * ej)
-        if j > 0 and abs(term) < 1e-18 * (1.0 + abs(series)):
-            accumulate_err(abs(term))
+def _tail(scale: int, v2: float, w, s, errs: list) -> complex:
+    """T(s, w) = sum_j binom(-s, j) v^(2j) zeta_H(scale*s + 2j, w); T'(0, w) when s is None."""
+    deriv = s is None
+    if deriv:
+        s = 0.0
+        total = scale * (log_gamma(w) - _HALF_LOG_TWO_PI)
+    else:
+        total, err = _hz(scale * s, w)
+        errs.append(err)
+    if not v2:
+        return total
+    c = vpow = 1.0
+    for j in range(1, _SERIES_CAP):
+        vpow *= v2
+        if vpow == 0.0:
             break
-    return series
+        # d/ds binom(-s, j) at s = 0 is (-1)^j / j
+        c = (-1.0) ** j / j if deriv else c * ((-s - (j - 1)) / j)
+        zj, ej = _hz(scale * s + 2 * j, w)
+        term = c * vpow * zj
+        total += term
+        errs.append(abs(c) * vpow * ej)
+        if abs(term) < 1e-18 * (1.0 + abs(total)):
+            errs.append(abs(term))
+            break
+    return total
 
 
-def _herm_zeta(a, mu, cut: CutAngle, s, tol: Tolerances):
-    s = complex(s)
-    _herm_pole_check(s)
-    atil, qm = _lat_split(a)
-    th = cut.normalized
-    k0 = _tail_winding(0.0, th)
-    err_box = [0.0]
+def _evaluate(f: Spectrum, cut: CutAngle, tol: Tolerances, s=None, eta: bool = False):
+    """(zeta(s), error) of a family from its layout; zeta'(0) when s is None.
 
-    def add_err(e):
-        err_box[0] += e
-
+    zeta(s) = sum sign*pow_cut(head) + sum sign*exp(-i*pi*k*s)*sum_w T(s, w);
+    zeta'(0) = -sum sign*log_cut(head) + sum sign*(-i*pi*k*sum_w (1/2 - w)
+    + sum_w T'(0, w)), from zeta_H(0, w) = 1/2 - w.  With ``eta``, eta(s).
+    """
+    head, scale, v2, groups = _lattice_eta(_eta_family(f), cut, tol) if eta else _LAYOUTS[type(f)](f, cut)
+    if s is not None:
+        j = 0.5 * (1.0 - scale * s.real)
+        # zeta_H(scale*s + 2j, w) has its pole at 1; beyond j = 0 only a series meets it
+        if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v2 > 0.0):
+            raise PoleError(s.real, f"pole at s={s.real:.17g}")
+    on_cut = tol.on_cut_angle
+    errs: list = []
     total = 0.0 + 0.0j
-    tails = 0.0 + 0.0j
-    for q0 in (atil, qm):
-        buf = _herm_buffer(q0)
-        for m in range(buf):
-            v = abs(q0 + m) ** 2
-            total += pow_cut(v, s, cut, tol.on_cut_angle)
-        tails += _herm_tail_series(s, q0.real + buf, q0.imag * q0.imag, add_err)
-    total += cmath.exp(-2j * _PI * k0 * s) * tails
-    return mu * total, mu * err_box[0]
+    for sign, points in head:
+        part = 0.0 + 0.0j
+        if s is None:
+            for v in points:
+                part -= log_cut(v, cut, on_cut)
+        else:
+            for v in points:
+                part += pow_cut(v, s, cut, on_cut)
+        total += sign * part
+    for sign, k, ws in groups:
+        tails = 0.0
+        for w in ws:
+            tails += _tail(scale, v2, w, s, errs)
+            if s is None:
+                tails += -1j * _PI * k * (0.5 - w)
+        if s is not None:
+            tails *= cmath.exp(-1j * _PI * k * s)
+        total += sign * tails
+    return f.mu * total, f.mu * sum(errs)
 
 
-def _herm_dzeta0(a, mu, cut: CutAngle, tol: Tolerances) -> complex:
-    atil, qm = _lat_split(a)
-    th = cut.normalized
-    k0 = _tail_winding(0.0, th)
-    acc = 0.0 + 0.0j
-    zeta0_tails = 0.0 + 0.0j
-    for q0 in (atil, qm):
-        buf = _herm_buffer(q0)
-        for m in range(buf):
-            acc -= log_cut(abs(q0 + m) ** 2, cut, tol.on_cut_angle)
-        w = q0.real + buf
-        v2 = q0.imag * q0.imag
-        zeta0_tails += 0.5 - w
-        acc += 2.0 * (log_gamma(w) - _HALF_LOG_TWO_PI)
-        if v2 > 0.0:
-            vpow = v2
-            for j in range(1, _HERM_SERIES_CAP):
-                zj, _ = _hz(2 * j, w)
-                term = ((-1.0) ** j / j) * vpow * zj
-                acc += term
-                vpow *= v2
-                if abs(term) < 1e-18 * (1.0 + abs(acc)):
-                    break
-    acc += -2j * _PI * k0 * zeta0_tails
-    return mu * acc
+def _eta_family(f: Spectrum) -> Lattice:
+    if type(f) is not Lattice:
+        raise TypeError(f"eta undefined for {type(f).__name__}")
+    return f
 
 
-def _lat_eta0(a, mu, tol: Tolerances) -> complex:
-    atil, qm = _lat_split(a)
+def _lat_eta0(f: Lattice, tol: Tolerances) -> complex:
+    atil, _ = _normalize_log_param(f.a)
     skip_r = 1 if atil.real <= tol.imag_axis else 0
-    skip_l = 1 if qm.real <= tol.imag_axis else 0
-    return mu * (1.0 - 2.0 * atil - skip_r + skip_l)
+    skip_l = 1 if (1.0 - atil).real <= tol.imag_axis else 0
+    return f.mu * (1.0 - 2.0 * atil - skip_r + skip_l)
 
 
 # ---------------------------------------------------------------------------
-# assembly over the decomposition: family closed forms plus finite points
-
-# closed forms per lattice family: zeta(s), zeta'(0), eta(s), eta(0)
-_FORMS = {
-    Lattice: (_lat_zeta, _lat_dzeta0, _lat_eta, _lat_eta0),
-    QuadLattice: (_quad_zeta, _quad_dzeta0, None, None),
-    HermQuadLattice: (_herm_zeta, _herm_dzeta0, None, None),
-}
-_ZETA, _DZETA0, _ETA, _ETA0 = range(4)
+# assembly over the decomposition: families plus finite points
 
 
-def _assemble(spec: Spectrum, column: int, family, points):
-    """Sum of ``family(form, f)`` over the families and ``points(pts)``.
+def _assemble(spec: Spectrum, family, points):
+    """Sum of ``family(f)`` over the families and ``points(pts)``.
 
     Every term is a (value, error) pair; the points term is left out when the
     spectrum has families but no points.  The sum starts from the first term,
@@ -325,12 +247,7 @@ def _assemble(spec: Spectrum, column: int, family, points):
     for bit, signed zeros included.
     """
     families, pts = decompose(spec)
-    terms = []
-    for f in families:
-        form = _FORMS[type(f)][column]
-        if form is None:
-            raise TypeError(f"eta undefined for {type(f).__name__}")
-        terms.append(family(form, f))
+    terms = [family(f) for f in families]
     if pts or not terms:
         terms.append(points(pts))
     value, err = terms[0]
@@ -345,18 +262,14 @@ def _zeta_value(spec: Spectrum, cut: CutAngle, s, tol: Tolerances):
         total = sum(m * pow_cut(v, s, cut, tol.on_cut_angle) for v, m in pts)
         return complex(total), 0.0
 
-    return _assemble(
-        spec, _ZETA, lambda form, f: form(f.a, f.mu, cut, s, tol), points
-    )
+    return _assemble(spec, lambda f: _evaluate(f, cut, tol, s), points)
 
 
 def _dzeta0_value(spec: Spectrum, cut: CutAngle, tol: Tolerances) -> complex:
     def points(pts):
         return -sum(m * log_cut(v, cut, tol.on_cut_angle) for v, m in pts), 0.0
 
-    return _assemble(
-        spec, _DZETA0, lambda form, f: (form(f.a, f.mu, cut, tol), 0.0), points
-    )[0]
+    return _assemble(spec, lambda f: _evaluate(f, cut, tol), points)[0]
 
 
 def spectral_zeta(
@@ -402,9 +315,7 @@ def _eta_value(spec: Spectrum, cut: CutAngle, s, tol: Tolerances):
                 total -= m * pow_cut(-v, s, cut, tol.on_cut_angle)
         return total, 0.0
 
-    return _assemble(
-        spec, _ETA, lambda form, f: form(f.a, f.mu, cut, s, tol), points
-    )
+    return _assemble(spec, lambda f: _evaluate(f, cut, tol, s, eta=True), points)
 
 
 def eta_function(
@@ -429,9 +340,7 @@ def _eta_at_zero(spec: Spectrum, tol: Tolerances) -> complex:
                 total -= m
         return complex(total), 0.0
 
-    return _assemble(
-        spec, _ETA0, lambda form, f: (form(f.a, f.mu, tol), 0.0), points
-    )[0]
+    return _assemble(spec, lambda f: (_lat_eta0(_eta_family(f), tol), 0.0), points)[0]
 
 
 def eta_invariant(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:

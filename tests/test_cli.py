@@ -130,6 +130,23 @@ class TestCommands:
         )
         assert res["results"]["value"]["re"] == pytest.approx(PI**2, abs=1e-9)
 
+    def test_zeta_pole_error_object(self, monkeypatch, capsys):
+        job = {"command": "zeta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}},
+               "params": {"s": {"re": 1.0, "im": 0.0}}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["zeta", "--config", "-"]) == 2
+        assert capsys.readouterr().err == '{"error": {"code": "Pole", "message": "pole at s=1"}}\n'
+
+    @pytest.mark.parametrize("im", [119.0, 120.0])
+    def test_verify_far_rank1_model(self, monkeypatch, capsys, im):
+        # exp(2*pi*i*a) underflows to 0 here; the Arg class must not need it
+        job = {"command": "verify", "model": {"type": "rank1", "a": {"re": 0.3, "im": im}}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["verify", "--config", "-"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == ["graded_det_eta_identity", "torsion_ray_singer"]
+        assert all(c["pass"] for c in checks)
+
     def test_det_command(self):
         res = run(
             _job(
@@ -469,51 +486,52 @@ class TestCliEntry:
         assert json.loads(captured.err)["error"]["code"] == "bad-params"
 
     @pytest.mark.parametrize(
-        "job, extra, code",
+        "job, extra, code, words",
         [
-            pytest.param({"command": "eta"}, ["--config", "{tmp}/missing.json"], "bad-file", id="missing-config"),
+            pytest.param({"command": "eta"}, ["--config", "{tmp}/missing.json"], "bad-file", (), id="missing-config"),
             pytest.param(
                 {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}},
-                ["--out", "{tmp}/no-such-dir/out.json"], "bad-file", id="out-in-missing-dir",
+                ["--out", "{tmp}/no-such-dir/out.json"], "bad-file", (), id="out-in-missing-dir",
             ),
             pytest.param(
                 {"command": "zeta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}},
                  "params": {"s": {"re": -400.0, "im": 0.0}}},
-                [], "Overflow", id="hurwitz-overflow",
+                [], "Overflow", (), id="hurwitz-overflow",
             ),
             pytest.param(
                 {"command": "torsion", "model": {"type": "rank1", "a": {"re": 0.3, "im": 400.0}}},
-                [], "Overflow", id="ray-singer-overflow",
+                [], "Overflow", (), id="ray-singer-overflow",
             ),
             pytest.param(
                 {"command": "zeta", "model": {"type": "finite", "eigenvalues": [{"re": 1e300, "im": 1.0}]},
                  "params": {"s": {"re": -2.0, "im": 0.0}}},
-                [], "Overflow", id="finite-power-overflow",
+                [], "Overflow", (), id="finite-power-overflow",
             ),
             pytest.param(
                 {"command": "monodromy",
                  "params": {"family": {"kind": "constant", "matrix": [[{"re": 1e200, "im": 0.0}]]}}},
-                [], "FloatingPoint", id="numpy-overflow",
+                [], "FloatingPoint", ("RK4 monodromy", "1x1", "t=0.0", "256 steps", "overflow"),
+                id="numpy-overflow",
             ),
             pytest.param(
                 {"command": "verify", "model": {"type": "monodromy", "matrix": [[1e200, 0], [0, 1e200]]}},
-                [], "Overflow", id="monodromy-model-overflow",
+                [], "Overflow", (), id="monodromy-model-overflow",
             ),
             pytest.param(
                 {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}},
-                ["--format", "csv"], "bad-format", id="csv-for-det",
+                ["--format", "csv"], "bad-format", (), id="csv-for-det",
             ),
             pytest.param(
                 {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 1e9}}},
-                [], "Domain", id="term-cap",
+                [], "Domain", (), id="term-cap",
             ),
             pytest.param(
                 {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}, "tolerances": 5},
-                ["--tol-overrides", "reality=0"], "bad-tolerances", id="overrides-on-non-object",
+                ["--tol-overrides", "reality=0"], "bad-tolerances", (), id="overrides-on-non-object",
             ),
         ],
     )
-    def test_file_overflow_and_format_errors_exit_2(self, monkeypatch, capsys, tmp_path, job, extra, code):
+    def test_file_overflow_and_format_errors_exit_2(self, monkeypatch, capsys, tmp_path, job, extra, code, words):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
         argv = [job["command"], "--config", "-"] + [a.format(tmp=tmp_path) for a in extra]
         with warnings.catch_warnings():
@@ -522,7 +540,9 @@ class TestCliEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert json.loads(captured.err)["error"]["code"] == code
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == code
+        assert all(w in error["message"] for w in words), error["message"]
 
     @pytest.mark.parametrize(
         "job, words",
@@ -556,6 +576,15 @@ class TestCliEntry:
     def test_tiny_eigenvalue_refused_as_underflow(self, monkeypatch, capsys):
         job = {"command": "verify", "model": {"type": "finite", "eigenvalues": [
             {"re": 2.0, "im": 0.5}, {"re": 0.0, "im": 1e-200}]}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["verify", "--config", "-"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "Domain"
+        assert "underflows" in error["message"]
+
+    def test_tiny_lattice_parameter_refused_as_underflow(self, monkeypatch, capsys):
+        # the lattice point a = 1e-200 squares to 0 on the square side
+        job = {"command": "verify", "model": {"type": "lattice", "a": {"re": 1e-200, "im": 0.0}}}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
         assert main(["verify", "--config", "-"]) == 2
         error = json.loads(capsys.readouterr().err)["error"]

@@ -270,6 +270,14 @@ class TestSquare:
         with pytest.raises(DomainError, match="underflows"):
             square_spectrum(Finite.of(2 + 0.5j, 1e-200j))
 
+    @pytest.mark.parametrize("a", [1e-200, -1e-200, 3 + 1e-200j, 1e-170 + 1e-170j])
+    def test_underflowing_lattice_square_refused(self, a):
+        # the eigenvalue nearest 0 is a - round(Re a); its square underflows
+        for spec in (Lattice(a), Restricted(Lattice(a), {1: 0})):
+            with pytest.raises(DomainError, match="underflows"):
+                square_spectrum(spec)
+        assert isinstance(square_spectrum(Lattice(a + 0.5)), QuadLattice)
+
     def test_lattice_square_is_symbolic(self):
         sq = square_spectrum(Lattice(0.25, 2))
         assert isinstance(sq, QuadLattice)

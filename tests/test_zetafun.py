@@ -2,6 +2,7 @@ import math
 import random
 import time
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from zetadet import (
     eta_invariant,
     hurwitz_zeta,
     hurwitz_zeta_ds0,
+    ldet,
     negate_spectrum,
     spectral_zeta,
     zeta_at_zero,
@@ -155,11 +157,29 @@ class TestZetaDerivative:
             assert val == pytest.approx(-2 * math.log(2 * math.sin(PI * a)), abs=1e-11)
 
     def test_herm_quad_real_matches_quad(self):
-        # for real a the Hermitian family coincides with the squared lattice
+        # for real a the Hermitian family coincides with the squared lattice,
+        # which has no pole at s = -1/2
         for a in (0.3, 0.65):
             herm = zeta_ds_at_zero(HermQuadLattice(a), -PI)
             quad = zeta_ds_at_zero(QuadLattice(a), -PI)
             assert herm == pytest.approx(quad, abs=1e-11)
+            herm = spectral_zeta(HermQuadLattice(a), -PI, -0.5).value
+            quad = spectral_zeta(QuadLattice(a), -PI, -0.5).value
+            assert herm == pytest.approx(quad, abs=1e-12)
+
+    def test_complex_reflection_against_mpmath(self):
+        # zeta'(0) of {|a + n|^2} is -2 log|2 sin(pi a)|, and the lattice
+        # determinant is 1 - exp(2*pi*i*a) below the real axis, 1 - exp(-2*pi*i*a) above
+        mpmath.mp.dps = 30
+        rng = random.Random(41)
+        for _ in range(40):
+            a = complex(rng.uniform(0.02, 0.98) + rng.randint(-2, 2), rng.uniform(-3.0, 3.0))
+            am = mpmath.mpc(a.real, a.imag)
+            ref = float(-2 * mpmath.log(abs(2 * mpmath.sin(mpmath.pi * am))))
+            assert abs(zeta_ds_at_zero(HermQuadLattice(a), -PI) - ref) <= 1e-12 * max(1.0, abs(ref))
+            theta = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, PI - 0.3)
+            det = complex(1 - mpmath.exp((2j if theta < 0 else -2j) * mpmath.pi * am))
+            assert abs(ldet(Lattice(a), theta).det - det) <= 1e-12 * abs(det)
 
     def test_herm_quad_against_brute_force_zeta(self):
         # independent check at s=3: binomial-series continuation vs direct sum

@@ -1,20 +1,31 @@
-"""Record the CLI output of the benchmark jobs, for byte-identity checks.
+"""Record the CLI output of the benchmark jobs, and compare two recordings.
 
 Usage: python tools/cli_outputs.py CHECKOUT OUT.json
+       python tools/cli_outputs.py --compare A.json B.json
 
-Runs the jobs of ``gen.make_round(workload, seed)`` for seeds 1-3 of every
-benchmark workload through ``zetadet.cli.main`` of the checkout at CHECKOUT
-(its ``src/`` and ``perfbench/gen.py``), each with its own ``--format``, and
-writes per job the exit code, stdout with ``wallTimeSeconds`` blanked, and
-stderr.  Two checkouts give the same file exactly when their CLI output
-agrees, so ``cmp A.json B.json`` is the check.
+The first form runs the jobs of ``gen.make_round(workload, seed)`` for seeds
+1-3 of every benchmark workload through ``zetadet.cli.main`` of the checkout
+at CHECKOUT (its ``src/`` and ``perfbench/gen.py``), each with its own
+``--format``, and writes per job the exit code, stdout with
+``wallTimeSeconds`` blanked, and stderr.  Two checkouts give the same file
+exactly when their CLI output agrees, so ``cmp A.json B.json`` checks byte
+identity.
+
+``--compare`` parses the JSON and CSV stdout of both recordings and prints,
+per output key, how many numbers moved and the largest absolute and relative
+move (relative to the value in A).  It exits 1 when a job differs in exit
+code, stderr, a check's ``pass``, a row's ``status``, any other non-numeric
+value, or the output's structure (keys, row counts, value types), and 0
+otherwise, however far the numbers moved.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -46,8 +57,97 @@ def run_job(main, job) -> dict:
     }
 
 
+def _leaves(node, key: str, index: tuple, out: dict) -> None:
+    """Flatten parsed output into ``out[(key, index)] = leaf``.
+
+    The key names the output field with list positions left out, or with the
+    ``name`` of a named list element (a check); the index keeps the positions.
+    Empty lists and objects are leaves themselves.
+    """
+    if isinstance(node, dict) and node:
+        for k, v in node.items():
+            _leaves(v, f"{key}.{k}" if key else k, index, out)
+    elif isinstance(node, list) and node:
+        for i, v in enumerate(node):
+            tag = f"[{v['name']}]" if isinstance(v, dict) and isinstance(v.get("name"), str) else "[]"
+            _leaves(v, key + tag, index + (i,), out)
+    else:
+        out[(key, index)] = node
+
+
+def _parse(record: dict):
+    """Parsed stdout: JSON, CSV as {"rows": [...]} with numeric cells as floats, else the text."""
+    text = record["stdout"]
+    if not text:
+        return text
+    if record["argv"][-1] == "csv":
+        rows = list(csv.DictReader(io.StringIO(text)))
+        for row in rows:
+            for k, v in row.items():
+                try:
+                    row[k] = float(v)
+                except ValueError:
+                    pass
+        return {"rows": rows}
+    return json.loads(text)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a) as fh:
+        recs_a = json.load(fh)
+    with open(path_b) as fh:
+        recs_b = json.load(fh)
+    problems: list = []
+    moved: dict = {}  # key -> [values, moved, max abs, max rel]
+    if len(recs_a) != len(recs_b):
+        problems.append(f"{len(recs_a)} jobs against {len(recs_b)}")
+    identical = 0
+    for ra, rb in zip(recs_a, recs_b):
+        job = f"{ra['workload']} seed {ra['seed']} slot {ra['slot']} ({ra['argv'][0]})"
+        if ra == rb:
+            identical += 1
+        for field in ("workload", "seed", "slot", "argv", "exit", "stderr"):
+            if ra[field] != rb[field]:
+                problems.append(f"{job}: {field} differs")
+        leaves_a, leaves_b = {}, {}
+        _leaves(_parse(ra), "", (), leaves_a)
+        _leaves(_parse(rb), "", (), leaves_b)
+        if leaves_a.keys() != leaves_b.keys():
+            problems.append(f"{job}: output structure differs")
+            continue
+        for (key, idx), va in leaves_a.items():
+            vb = leaves_b[(key, idx)]
+            if not (_is_number(va) and _is_number(vb)):
+                if va != vb or type(va) is not type(vb):
+                    problems.append(f"{job}: {key} {va!r} -> {vb!r}")
+                continue
+            stats = moved.setdefault(key, [0, 0, 0.0, 0.0])
+            stats[0] += 1
+            if va != vb or type(va) is not type(vb):
+                d = abs(vb - va)
+                stats[1] += 1
+                stats[2] = max(stats[2], d)
+                stats[3] = max(stats[3], d / abs(va) if va else math.inf)
+    print(f"{len(recs_a)} jobs, {identical} identical")
+    print(f"{'key':48s} {'moved':>13s} {'max |d|':>10s} {'max |d|/|a|':>12s}")
+    for key, (n, m, d, r) in sorted(moved.items()):
+        if m:
+            print(f"{key:48s} {m:6d}/{n:<6d} {d:10.3g} {r:12.3g}")
+    print(f"{sum(1 for _, m, _, _ in moved.values() if not m)} further numeric keys unmoved")
+    for p in problems:
+        print(f"DIFFERS {p}")
+    return 1 if problems else 0
+
+
 def main(argv=None) -> int:
-    checkout, out_path = (argv or sys.argv[1:])[:2]
+    args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--compare"]:
+        return compare(*args[1:3])
+    checkout, out_path = args[:2]
     checkout = os.path.abspath(checkout)
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import gen
