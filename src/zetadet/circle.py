@@ -34,9 +34,9 @@ from .spectrum import (
     DirectSum,
     HermQuadLattice,
     Lattice,
-    QuadLattice,
     Spectrum,
     dist_to_integers,
+    square_spectrum,
     _normalize_log_param,
 )
 from .zetafun import eta_invariant, zeta_ds_at_zero
@@ -170,17 +170,15 @@ def refined_torsion(
     """Graded determinant of the even signature operator, with cross-checks.
 
     The torsion is exp of the graded log-determinant computed directly from
-    the lattice spectrum at the chosen cut (``torsion_ldet``); xi and eta are
-    computed from the squared spectrum at the doubled cut and the report
-    records the residual of graded_ldet = xi - i*pi*eta.
+    the lattice spectrum at the chosen cut, as in ``torsion_ldet``; xi is
+    computed from the squared spectrum at the doubled cut, eta from the
+    spectrum, and the report records the residual of graded_ldet = xi - i*pi*eta.
     """
-    base = torsion_ldet(model, tol)
-    cut2 = base.theta.doubled()
-
-    xi = 0.0 + 0.0j
-    for a, m in model.log_params:
-        xi += -0.5 * zeta_ds_at_zero(QuadLattice(a, m), cut2, tol=tol)
-    eta = sum(eta_invariant(Lattice(a, m), tol) for a, m in model.log_params)
+    spec = model.spectrum()
+    base = ldet(spec, pick_det_eta_cut(spec), tol)
+    # adding 0j turns a zero part of -0.0 into 0.0, so a real xi never prints -0.0
+    xi = -0.5 * zeta_ds_at_zero(square_spectrum(spec, tol), base.theta.doubled(), tol=tol) + 0j
+    eta = eta_invariant(spec, tol)
     residual = abs(base.ldet - (xi - 1j * _PI * eta))
 
     trs = ray_singer_torsion(model, tol)

@@ -24,11 +24,8 @@ class Tolerances:
     # identity residuals
     identity_residual: float = 1e-9    # determinant/eta identities
     finite_arithmetic: float = 1e-10   # exact finite-spectrum bookkeeping
-    closed_form_rel: float = 1e-8      # circle closed form, relative
-    kernel_accuracy: float = 1e-10     # Hurwitz zeta kernel acceptance accuracy
     trs_residual: float = 1e-6         # torsion vs Ray-Singer comparisons
     variation_residual: float = 1e-6   # eta / Arg variation formulas
-    cr_residual_rel: float = 1e-5      # Cauchy-Riemann residual, relative to max|T|
     reality: float = 1e-10             # imaginary parts required to vanish
 
     def with_overrides(self, **kwargs) -> "Tolerances":

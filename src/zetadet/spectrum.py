@@ -10,14 +10,20 @@ algebraic multiplicities are known explicitly.  Variants:
 * ``DirectSum``     — a disjoint union of spectra.
 * ``Restricted``    — a base spectrum with reduced per-eigenvalue multiplicities.
 
-All spectra are immutable; operations are pure functions.
+The lattice families share ``LatticeFamily``, which checks ``a`` and ``mu``
+once and derives the radius scan ``points_within`` from ``value_at`` and the
+growth order, and ``points_near`` from ``index_window``.  ``decompose`` reads
+a spectrum as families plus finite points; ``_map_spectrum`` builds its image
+under squaring or negation.  All spectra are immutable; operations are pure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .complexcut import CutAngle, ang_dist, as_cut, phase
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -64,6 +70,13 @@ def _line_window(a: complex, directions: Iterable[float]) -> range:
     return range(min(ks) - 1, max(ks) + 3)
 
 
+def _check_multiplicity(m) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("multiplicity must be a positive integer")
+    if m > sys.float_info.max:
+        raise ValueError(f"multiplicity exceeds the float range ({sys.float_info.max:.3g})")
+
+
 @dataclass(frozen=True)
 class Eigenvalue:
     value: complex
@@ -74,8 +87,7 @@ class Eigenvalue:
         object.__setattr__(self, "value", v)
         if v == 0:
             raise ValueError("eigenvalues must be nonzero")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
+        _check_multiplicity(self.multiplicity)
 
 
 class Spectrum:
@@ -142,29 +154,58 @@ class Finite(Spectrum):
 
 
 @dataclass(frozen=True)
-class Lattice(Spectrum):
-    """Eigenvalues {a + n : n in Z}, each with multiplicity mu."""
+class LatticeFamily(Spectrum):
+    """Eigenvalues {value_at(n) : n in Z}, each with multiplicity mu.
+
+    A family defines ``value_at(n)`` and ``index_window(directions)``, the
+    indices ``points_near`` yields.  ``order`` is the growth of |value_at(n)|
+    in |n|: 1 for {a + n} and 2 for the squared families, which store ``a``
+    normalized with real part in (0, 1].  Only ``restrictable`` families take
+    a ``Restricted`` over them.
+    """
 
     a: complex
     mu: int = 1
+    order: ClassVar[int] = 1
+    restrictable: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        if dist_to_integers(self.a) <= 0.0:
+        a = complex(self.a)
+        if self.order == 2:
+            a, _ = _normalize_log_param(a)
+        object.__setattr__(self, "a", a)
+        if dist_to_integers(a) <= 0.0:
             raise ValueError("lattice parameter must avoid the integers")
-        if not isinstance(self.mu, int) or self.mu < 1:
-            raise ValueError("multiplicity must be a positive integer")
+        _check_multiplicity(self.mu)
+
+    def index_range(self, radius: float) -> range:
+        """Indices n of every |value_at(n)| <= radius, with a spare one on each side."""
+        r = max(radius, 0.0) ** (1.0 / self.order) + abs(self.a)
+        return range(math.floor(-r) - 1, math.ceil(r) + 2)
+
+    def points_within(self, radius):
+        for n in self.index_range(radius):
+            v = self.value_at(n)
+            if abs(v) <= radius:
+                yield v, self.mu
+
+    def tail_directions(self):
+        # the squared families run off along the positive reals; {a + n} adds pi
+        return (0.0,)
+
+    def points_near(self, directions):
+        for n in self.index_window(directions):
+            yield self.value_at(n), self.mu
+
+
+class Lattice(LatticeFamily):
+    """Eigenvalues {a + n : n in Z}, each with multiplicity mu."""
+
+    # each family binds points_within itself: perfbench wraps every class's own binding
+    points_within = LatticeFamily.points_within
 
     def value_at(self, n: int) -> complex:
         return self.a + n
-
-    def points_within(self, radius):
-        lo = math.floor(-radius - abs(self.a)) - 1
-        hi = math.ceil(radius + abs(self.a)) + 1
-        for n in range(lo, hi + 1):
-            v = self.a + n
-            if abs(v) <= radius:
-                yield v, self.mu
 
     def tail_directions(self):
         return (0.0, _PI)
@@ -172,44 +213,16 @@ class Lattice(Spectrum):
     def index_window(self, directions) -> range:
         return _line_window(self.a, directions)
 
-    def points_near(self, directions):
-        for n in self.index_window(directions):
-            yield self.value_at(n), self.mu
 
+class QuadLattice(LatticeFamily):
+    """Eigenvalues {(a + n)^2 : n in Z} for a lattice parameter a."""
 
-@dataclass(frozen=True)
-class QuadLattice(Spectrum):
-    """Eigenvalues {(a + n)^2 : n in Z} for a lattice parameter a.
-
-    ``a`` is stored normalized with real part in (0, 1].
-    """
-
-    a: complex
-    mu: int = 1
-
-    def __post_init__(self):
-        a, _ = _normalize_log_param(complex(self.a))
-        object.__setattr__(self, "a", a)
-        if dist_to_integers(a) <= 0.0:
-            raise ValueError("lattice parameter must avoid the integers")
-        if not isinstance(self.mu, int) or self.mu < 1:
-            raise ValueError("multiplicity must be a positive integer")
+    order = 2
+    points_within = LatticeFamily.points_within
 
     def value_at(self, n: int) -> complex:
         base = self.a + n
         return base * base
-
-    def points_within(self, radius):
-        r = math.sqrt(max(radius, 0.0))
-        lo = math.floor(-r - abs(self.a)) - 1
-        hi = math.ceil(r + abs(self.a)) + 1
-        for n in range(lo, hi + 1):
-            v = self.value_at(n)
-            if abs(v) <= radius:
-                yield v, self.mu
-
-    def tail_directions(self):
-        return (0.0,)
 
     def index_window(self, directions) -> range:
         # (a + n)^2 lies on the ray at phi exactly when a + n lies on one of
@@ -217,44 +230,20 @@ class QuadLattice(Spectrum):
         roots = [r for d in directions for r in (0.5 * d, 0.5 * d + _PI)]
         return _line_window(self.a, roots)
 
-    def points_near(self, directions):
-        for n in self.index_window(directions):
-            yield self.value_at(n), self.mu
 
-
-@dataclass(frozen=True)
-class HermQuadLattice(Spectrum):
+class HermQuadLattice(LatticeFamily):
     """Eigenvalues {(n + a)(n + conj(a)) : n in Z} — positive reals."""
 
-    a: complex
-    mu: int = 1
+    order = 2
+    restrictable = False
+    points_within = LatticeFamily.points_within
 
-    def __post_init__(self):
-        a, _ = _normalize_log_param(complex(self.a))
-        object.__setattr__(self, "a", a)
-        if dist_to_integers(a) <= 0.0:
-            raise ValueError("lattice parameter must avoid the integers")
-        if not isinstance(self.mu, int) or self.mu < 1:
-            raise ValueError("multiplicity must be a positive integer")
+    def value_at(self, n: int) -> complex:
+        return complex(abs(self.a + n) ** 2)
 
-    def value_at(self, n: int) -> float:
-        return abs(self.a + n) ** 2
-
-    def points_within(self, radius):
-        r = math.sqrt(max(radius, 0.0))
-        lo = math.floor(-r - abs(self.a)) - 1
-        hi = math.ceil(r + abs(self.a)) + 1
-        for n in range(lo, hi + 1):
-            v = self.value_at(n)
-            if abs(v) <= radius:
-                yield complex(v), self.mu
-
-    def tail_directions(self):
-        return (0.0,)
-
-    def points_near(self, directions):
+    def index_window(self, directions) -> range:
         # every eigenvalue lies on the tail direction itself
-        return iter(())
+        return range(0)
 
 
 @dataclass(frozen=True)
@@ -295,10 +284,8 @@ class Restricted(Spectrum):
     sub_mult: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if isinstance(self.sub_mult, Mapping):
-            items = tuple(sorted(self.sub_mult.items()))
-        else:
-            items = tuple(sorted(tuple(p) for p in self.sub_mult))
+        pairs = self.sub_mult.items() if isinstance(self.sub_mult, Mapping) else self.sub_mult
+        items = tuple(sorted(tuple(p) for p in pairs))
         object.__setattr__(self, "sub_mult", items)
         if isinstance(self.base, Finite):
             for idx, m in items:
@@ -306,7 +293,7 @@ class Restricted(Spectrum):
                     raise ValueError(f"index {idx} outside the finite base")
                 if not 0 <= m <= self.base.eigenvalues[idx].multiplicity:
                     raise ValueError("sub-multiplicity exceeds the base multiplicity")
-        elif isinstance(self.base, (Lattice, QuadLattice)):
+        elif isinstance(self.base, LatticeFamily) and self.base.restrictable:
             for _, m in items:
                 if not 0 <= m <= self.base.mu:
                     raise ValueError("sub-multiplicity exceeds the base multiplicity")
@@ -315,38 +302,22 @@ class Restricted(Spectrum):
                 "restrictions are supported over Finite and lattice bases only"
             )
 
-    def overrides(self) -> Mapping[int, int]:
-        return dict(self.sub_mult)
-
     def effective_finite(self) -> Finite:
         if not isinstance(self.base, Finite):
             raise TypeError("effective_finite requires a Finite base")
-        ov = self.overrides()
-        evs = []
-        for i, e in enumerate(self.base.eigenvalues):
-            m = ov.get(i, e.multiplicity)
-            if m > 0:
-                evs.append(Eigenvalue(e.value, m))
-        return Finite(tuple(evs)) if evs else Finite(())
+        return Finite(tuple(self.points_within(math.inf)))
 
     def points_within(self, radius):
-        ov = self.overrides()
-        if isinstance(self.base, Finite):
-            for i, e in enumerate(self.base.eigenvalues):
-                m = ov.get(i, e.multiplicity)
-                if m > 0 and abs(e.value) <= radius:
-                    yield e.value, m
+        base = self.base
+        if isinstance(base, Finite):
+            points = ((i, e.value, e.multiplicity) for i, e in enumerate(base.eigenvalues))
         else:
-            mu = self.base.mu
-            r = radius if isinstance(self.base, Lattice) else math.sqrt(radius)
-            lo = math.floor(-r - abs(self.base.a)) - 1
-            hi = math.ceil(r + abs(self.base.a)) + 1
-            for n in range(lo, hi + 1):
-                m = ov.get(n, mu)
-                if m > 0:
-                    v = self.base.value_at(n)
-                    if abs(v) <= radius:
-                        yield v, m
+            points = ((n, base.value_at(n), base.mu) for n in base.index_range(radius))
+        ov = dict(self.sub_mult)
+        for i, v, m in points:
+            m = ov.get(i, m)
+            if m > 0 and abs(v) <= radius:
+                yield v, m
 
     def tail_directions(self):
         return self.base.tail_directions()
@@ -358,7 +329,7 @@ class Restricted(Spectrum):
         window = self.base.index_window(directions)
         if not window:
             return
-        ov = self.overrides()
+        ov = dict(self.sub_mult)
         mu = self.base.mu
         lo, hi = window.start, window.stop - 1
         # removed eigenvalues decide nothing: walk outward to the nearest kept one
@@ -381,16 +352,11 @@ def decompose(
     ``Restricted`` finite base contributes its ``effective_finite()`` points.
     This is the one walk over ``DirectSum``, ``Restricted`` and ``Finite``.
     """
-    if isinstance(spec, (Lattice, QuadLattice, HermQuadLattice)):
+    if isinstance(spec, LatticeFamily):
         return (spec,), ()
     if isinstance(spec, DirectSum):
-        families: list = []
-        points: list = []
-        for part in spec.parts:
-            f, p = decompose(part)
-            families += f
-            points += p
-        return tuple(families), tuple(points)
+        parts = [decompose(part) for part in spec.parts]
+        return tuple(f for fs, _ in parts for f in fs), tuple(q for _, qs in parts for q in qs)
     if isinstance(spec, Finite):
         return (), spec.items()
     if isinstance(spec, Restricted):
@@ -509,56 +475,56 @@ def _square(v: complex) -> complex:
     return sq
 
 
+def _map_spectrum(spec: Spectrum, verb: str, finite, lattice) -> Spectrum:
+    """The image of ``spec`` under a map of eigenvalues; the walk behind squaring and negation.
+
+    ``finite`` maps a ``Finite`` spectrum, ``lattice`` a ``Lattice`` to its
+    image family and ``reindex``, the image family's index of the image of
+    point n.  A ``Restricted`` finite base maps as its ``effective_finite()``;
+    other families are refused.
+    """
+    if isinstance(spec, DirectSum):
+        return DirectSum(tuple(_map_spectrum(p, verb, finite, lattice) for p in spec.parts))
+    if isinstance(spec, Restricted) and isinstance(spec.base, Finite):
+        spec = spec.effective_finite()
+    if isinstance(spec, Finite):
+        return finite(spec)
+    base = spec.base if isinstance(spec, Restricted) else spec
+    if type(base) is not Lattice:
+        raise TypeError(f"{verb} undefined for {type(spec).__name__}")
+    image, reindex = lattice(base)
+    if base is spec:
+        return image
+    return Restricted(image, tuple(sorted((reindex(n), m) for n, m in spec.sub_mult)))
+
+
 def square_spectrum(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigenvalues squared; coinciding squares merge by summing multiplicities.
 
     A lattice is refused when its eigenvalue nearest 0, a - round(Re a), squares to 0.
     """
-    sig = tol.merge_significant_digits
-    lattice = spec.base if isinstance(spec, Restricted) else spec
-    if isinstance(lattice, Lattice):
-        _square(lattice.a - round(lattice.a.real))
-    if isinstance(spec, Finite):
+
+    def finite(spec: Finite) -> Finite:
         acc: dict = {}
         for v, m in spec.items():
             sq = _square(v)
-            k = merge_key(sq, sig)
-            if k in acc:
-                acc[k] = (acc[k][0], acc[k][1] + m)
-            else:
-                acc[k] = (sq, m)
+            acc.setdefault(merge_key(sq, tol.merge_significant_digits), [sq, 0])[1] += m
         return Finite(tuple(Eigenvalue(v, m) for v, m in acc.values()))
-    if isinstance(spec, Lattice):
-        return QuadLattice(spec.a, spec.mu)
-    if isinstance(spec, DirectSum):
-        return DirectSum(tuple(square_spectrum(p, tol) for p in spec.parts))
-    if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return square_spectrum(spec.effective_finite(), tol)
-        if isinstance(spec.base, Lattice):
-            _, n0 = _normalize_log_param(spec.base.a)
-            remapped = {n + n0: m for n, m in spec.sub_mult}
-            base = QuadLattice(spec.base.a, spec.base.mu)
-            return Restricted(base, tuple(sorted(remapped.items())))
-    raise TypeError(f"squaring undefined for {type(spec).__name__}")
+
+    def lattice(f: Lattice):
+        _square(f.a - round(f.a.real))
+        # QuadLattice stores a + n0, so (a + n)^2 sits at its index n - n0
+        _, n0 = _normalize_log_param(f.a)
+        return QuadLattice(f.a, f.mu), lambda n: n - n0
+
+    return _map_spectrum(spec, "squaring", finite, lattice)
 
 
 def negate_spectrum(spec: Spectrum) -> Spectrum:
     """Every eigenvalue negated; lattices re-index to Lattice(-a)."""
-    if isinstance(spec, Finite):
-        return Finite(
-            tuple(Eigenvalue(-e.value, e.multiplicity) for e in spec.eigenvalues)
-        )
-    if isinstance(spec, Lattice):
-        return Lattice(-spec.a, spec.mu)
-    if isinstance(spec, DirectSum):
-        return DirectSum(tuple(negate_spectrum(p) for p in spec.parts))
-    if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return Restricted(negate_spectrum(spec.base), spec.sub_mult)
-        if isinstance(spec.base, Lattice):
-            return Restricted(
-                Lattice(-spec.base.a, spec.base.mu),
-                tuple(sorted((-n, m) for n, m in spec.sub_mult)),
-            )
-    raise TypeError(f"negation undefined for {type(spec).__name__}")
+    return _map_spectrum(
+        spec,
+        "negation",
+        lambda s: Finite(tuple(Eigenvalue(-e.value, e.multiplicity) for e in s.eigenvalues)),
+        lambda f: (Lattice(-f.a, f.mu), operator.neg),
+    )

@@ -1,12 +1,13 @@
 """Spectral zeta and eta functions via analytic continuation.
 
 Finite spectra are summed exactly.  Each lattice family ({a + n}, its squares
-{(a + n)^2} and the Hermitian {|a + n|^2}) has a layout, the tuple
-``(head, scale, v2, groups)``: head segments ``(sign, points)`` near the origin,
-summed with exact cut branches; the Hurwitz scale, 1 for {a + n} and 2 for the
-squared families; v^2, the squared Im a of the Hermitian family and 0 otherwise;
-and tail groups ``(sign, k, (w, ...))`` of far tails with constant winding.  One
-evaluator gives every family's zeta(s), with its error estimate, as
+{(a + n)^2} and the Hermitian {|a + n|^2}) has a layout, the pair
+``(head, groups)``: head segments ``(sign, points)`` near the origin, summed
+with exact cut branches, and tail groups ``(sign, k, (w, ...))`` of far tails
+with constant winding.  The Hurwitz scale is the family's growth order, 1 for
+{a + n} and 2 for the squared families, and v^2 is the squared Im a of the
+Hermitian family and 0 otherwise.  One evaluator gives every family's zeta(s),
+with its error estimate, as
 
     sum sign * lambda^{-s} + sum sign * exp(-i*pi*k*s) * sum_w T(s, w),
     T(s, w) = sum_j binom(-s, j) * v^(2j) * zeta_H(scale*s + 2j, w),
@@ -108,7 +109,7 @@ def _lattice(f: Lattice, cut: CutAngle) -> tuple:
     buf_l = _tail_buffer(qm, ang_dist(th, _PI))
     head = ((1, [atil + m for m in range(buf_r)] + [-(qm + m) for m in range(buf_l)]),)
     k_r, k_l = 2 * _tail_winding(0.0, th), 2 * _tail_winding(_PI, th) + 1
-    return head, 1, 0.0, ((1, k_r, (atil + buf_r,)), (1, k_l, (qm + buf_l,)))
+    return head, ((1, k_r, (atil + buf_r,)), (1, k_l, (qm + buf_l,)))
 
 
 def _lattice_eta(f: Lattice, cut: CutAngle, tol: Tolerances) -> tuple:
@@ -122,7 +123,7 @@ def _lattice_eta(f: Lattice, cut: CutAngle, tol: Tolerances) -> tuple:
     skip_l = 1 if qm.real <= tol.imag_axis else 0
     head = ((1, [atil + m for m in range(skip_r, buf_r)]), (-1, [qm + m for m in range(skip_l, buf_l)]))
     k = 2 * _tail_winding(0.0, th)
-    return head, 1, 0.0, ((1, k, (atil + buf_r,)), (-1, k, (qm + buf_l,)))
+    return head, ((1, k, (atil + buf_r,)), (-1, k, (qm + buf_l,)))
 
 
 def _quad(f: QuadLattice, cut: CutAngle) -> tuple:
@@ -133,7 +134,7 @@ def _quad(f: QuadLattice, cut: CutAngle) -> tuple:
     gap = ang_dist(th, 0.0)
     buf_r, buf_l = _tail_buffer(atil, gap, halve=True), _tail_buffer(qm, gap, halve=True)
     head = ((1, [(atil + m) ** 2 for m in range(buf_r)] + [(qm + m) ** 2 for m in range(buf_l)]),)
-    return head, 2, 0.0, ((1, 2 * _tail_winding(0.0, th), (atil + buf_r, qm + buf_l)),)
+    return head, ((1, 2 * _tail_winding(0.0, th), (atil + buf_r, qm + buf_l)),)
 
 
 def _herm(f: HermQuadLattice, cut: CutAngle) -> tuple:
@@ -146,7 +147,7 @@ def _herm(f: HermQuadLattice, cut: CutAngle) -> tuple:
         points += [abs(q + m) ** 2 for m in range(buf)]
         ws.append(q.real + buf)
     k = 2 * _tail_winding(0.0, cut.normalized)
-    return ((1, points),), 2, atil.imag * atil.imag, ((1, k, tuple(ws)),)
+    return ((1, points),), ((1, k, tuple(ws)),)
 
 
 _LAYOUTS = {Lattice: _lattice, QuadLattice: _quad, HermQuadLattice: _herm}
@@ -191,12 +192,17 @@ def _evaluate(f: Spectrum, cut: CutAngle, tol: Tolerances, s=None, eta: bool = F
     zeta'(0) = -sum sign*log_cut(head) + sum sign*(-i*pi*k*sum_w (1/2 - w)
     + sum_w T'(0, w)), from zeta_H(0, w) = 1/2 - w.  With ``eta``, eta(s).
     """
-    head, scale, v2, groups = _lattice_eta(_eta_family(f), cut, tol) if eta else _LAYOUTS[type(f)](f, cut)
+    if eta:
+        f = _eta_family(f)
+    # the Hurwitz scale is the family's growth order; v^2 offsets the Hermitian squares
+    scale = f.order
+    v2 = f.a.imag * f.a.imag if isinstance(f, HermQuadLattice) else 0.0
     if s is not None:
         j = 0.5 * (1.0 - scale * s.real)
         # zeta_H(scale*s + 2j, w) has its pole at 1; beyond j = 0 only a series meets it
         if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v2 > 0.0):
             raise PoleError(s.real, f"pole at s={s.real:.17g}")
+    head, groups = _lattice_eta(f, cut, tol) if eta else _LAYOUTS[type(f)](f, cut)
     on_cut = tol.on_cut_angle
     errs: list = []
     total = 0.0 + 0.0j

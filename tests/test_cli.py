@@ -137,6 +137,14 @@ class TestCommands:
         assert main(["zeta", "--config", "-"]) == 2
         assert capsys.readouterr().err == '{"error": {"code": "Pole", "message": "pole at s=1"}}\n'
 
+    def test_zeta_pole_found_before_the_term_cap(self, monkeypatch, capsys):
+        # at Im a = 1e9 the tail buffers exceed the term cap; s = 1 is still a pole
+        job = {"command": "zeta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 1e9}},
+               "params": {"s": {"re": 1.0, "im": 0.0}}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["zeta", "--config", "-"]) == 2
+        assert capsys.readouterr().err == '{"error": {"code": "Pole", "message": "pole at s=1"}}\n'
+
     @pytest.mark.parametrize("im", [119.0, 120.0])
     def test_verify_far_rank1_model(self, monkeypatch, capsys, im):
         # exp(2*pi*i*a) underflows to 0 here; the Arg class must not need it
@@ -528,6 +536,27 @@ class TestCliEntry:
             pytest.param(
                 {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}, "tolerances": 5},
                 ["--tol-overrides", "reality=0"], "bad-tolerances", (), id="overrides-on-non-object",
+            ),
+            pytest.param(
+                {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}},
+                 "tolerances": {"kernel_accuracy": 1e-9}},
+                [], "bad-tolerances", ("kernel_accuracy",), id="unread-tolerance-field",
+            ),
+            pytest.param(
+                {"command": "det", "model": {"type": "finite", "eigenvalues": [{"re": 2.0, "multiplicity": 10**400}]}},
+                [], "bad-value", ("multiplicity", "float range"), id="det-huge-multiplicity",
+            ),
+            pytest.param(
+                {"command": "eta", "model": {"type": "finite", "eigenvalues": [{"re": 2.0, "multiplicity": 10**400}]}},
+                [], "bad-value", ("multiplicity", "float range"), id="eta-huge-multiplicity",
+            ),
+            pytest.param(
+                {"command": "verify", "model": {"type": "finite", "eigenvalues": [{"re": 2.0, "multiplicity": 10**400}]}},
+                [], "bad-value", ("multiplicity", "float range"), id="verify-huge-multiplicity",
+            ),
+            pytest.param(
+                {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}, "mu": 10**400}},
+                [], "bad-value", ("multiplicity", "float range"), id="det-huge-lattice-mu",
             ),
         ],
     )

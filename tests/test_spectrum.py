@@ -16,6 +16,7 @@ from zetadet import (
     QuadLattice,
     Restricted,
     certify_agmon,
+    eta_invariant,
     imaginary_axis_counts,
     is_symmetric_about_real_axis,
     negate_spectrum,
@@ -23,6 +24,7 @@ from zetadet import (
 )
 from zetadet.complexcut import ang_dist
 from zetadet.config import DEFAULT_TOLERANCES
+from zetadet.spectrum import merge_key
 
 from helpers import brute_is_agmon, clear_radius
 
@@ -95,6 +97,11 @@ class TestEigenvalue:
     def test_multiplicity_positive(self):
         with pytest.raises(ValueError):
             Eigenvalue(1.0, 0)
+
+    def test_multiplicity_beyond_float_range_refused(self):
+        for make in (lambda: Eigenvalue(2.0, 10**400), lambda: Lattice(0.3, 10**400)):
+            with pytest.raises(ValueError, match="multiplicity exceeds the float range"):
+                make()
 
 
 class TestFinite:
@@ -347,3 +354,76 @@ class TestRestricted:
         # value a+1 = 1.25 had multiplicity 1; negated it sits at -1.25
         assert pts[(-1.25 + 0j)] == 1
         assert pts[(-0.25 + 0j)] == 2
+
+
+def _tally(points, radius, square=False) -> dict:
+    counts: dict = {}
+    for v, m in points:
+        if abs(v) <= radius:
+            k = merge_key(v * v if square else v)
+            counts[k] = counts.get(k, 0) + m
+    return {k: m for k, m in counts.items() if m}
+
+
+class TestMapWalk:
+    """Edges of the one walk behind ``square_spectrum`` and ``negate_spectrum``."""
+
+    def test_undefined_maps_refused(self):
+        with pytest.raises(TypeError, match="squaring undefined for QuadLattice"):
+            square_spectrum(QuadLattice(0.3))
+        with pytest.raises(TypeError, match="negation undefined for HermQuadLattice"):
+            negate_spectrum(HermQuadLattice(0.3))
+        with pytest.raises(TypeError):
+            Restricted(HermQuadLattice(0.3), {0: 0})
+        with pytest.raises(TypeError):
+            eta_invariant(QuadLattice(0.3))
+
+    def test_families_stay_apart(self):
+        assert Lattice(0.3) != QuadLattice(0.3)
+        assert QuadLattice(0.3) != HermQuadLattice(0.3)
+        assert Lattice(0.3) == Lattice(0.3)
+
+    def test_restricted_finite_maps_as_effective_finite(self):
+        sub = Restricted(Finite((Eigenvalue(2, 2), Eigenvalue(1j, 1), Eigenvalue(-3, 3))), {0: 1, 1: 0})
+        eff = sub.effective_finite()
+        for op in (negate_spectrum, square_spectrum):
+            assert set(op(sub).points_within(math.inf)) == set(op(eff).points_within(math.inf))
+
+    @pytest.mark.parametrize("a", [0.25, 2.3, -1.7 + 0.4j, 5.6 - 0.3j, -3.2 + 1.1j])
+    def test_restricted_lattice_maps_point_by_point(self, a):
+        # the map of each kept point, with its multiplicity, whatever the shift of a
+        sub = Restricted(Lattice(a, 2), {0: 0, -2: 1, 3: 0, 7: 1})
+        radius = 9.05
+        expected = _tally(sub.points_within(radius), radius, square=True)
+        assert _tally(square_spectrum(sub).points_within(radius**2), radius**2) == expected
+        negated = _tally(((-v, m) for v, m in sub.points_within(radius)), radius)
+        assert _tally(negate_spectrum(sub).points_within(radius), radius) == negated
+
+
+class TestTracingHooks:
+    """perfbench/tracing.py patches names it looks up; each must exist."""
+
+    @staticmethod
+    def _tracing():
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_layer_names_resolve(self):
+        import importlib
+
+        for layer, (mod, funcs) in self._tracing().LAYERS.items():
+            module = importlib.import_module(f"zetadet.{mod}")
+            for f in funcs:
+                assert callable(getattr(module, f, None)), f"{layer}: zetadet.{mod}.{f}"
+
+    def test_scanned_classes_bind_points_within(self):
+        import zetadet.spectrum
+
+        for name in self._tracing().SCANNED_CLASSES:
+            assert "points_within" in vars(getattr(zetadet.spectrum, name)), name

@@ -112,6 +112,19 @@ class TestSpectralZeta:
         with pytest.raises(PoleError):
             spectral_zeta(HermQuadLattice(0.5 + 0.1j), -PI, -0.5)
 
+    @pytest.mark.parametrize(
+        "spec, s",
+        [
+            pytest.param(Lattice(0.3 + 1e9j), 1, id="lattice-s1"),
+            pytest.param(HermQuadLattice(0.3 + 1e9j), 0.5, id="herm-s0.5"),
+            pytest.param(HermQuadLattice(0.3 + 1e9j), -0.5, id="herm-s-0.5"),
+        ],
+    )
+    def test_pole_found_before_tails_are_sized(self, spec, s):
+        # the tail buffers of these families exceed the term cap; a pole is still a pole
+        with pytest.raises(PoleError):
+            spectral_zeta(spec, -PI / 4, s)
+
     def test_not_agmon_propagates(self):
         with pytest.raises(NotAgmonError):
             spectral_zeta(Lattice(0.5), 0.0, 2)
