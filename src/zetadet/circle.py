@@ -10,6 +10,8 @@ the torsion equals det(I - representation).
 
 Monodromy matrices are integrated with a classical 4th-order scheme from
 Phi' + A(x) Phi = 0, Phi(0) = Id; the representation is Phi(2*pi)^{-1}.
+Several values of the family parameter t integrate as one (len(t), n, n)
+stack, so the variation check steps through t + dt and t - dt once.
 """
 
 from __future__ import annotations
@@ -310,23 +312,25 @@ class ConnectionFamily:
     @staticmethod
     def diagonal_path(a_values: Sequence[complex], rates: Sequence[complex]) -> "ConnectionFamily":
         import numpy as np
-        a_arr = np.asarray(a_values, dtype=complex)
-        r_arr = np.asarray(rates, dtype=complex)
-        dim = len(a_arr)
+        d_a = np.diag(np.asarray(a_values, dtype=complex))
+        d_r = np.diag(np.asarray(rates, dtype=complex))
+        d_psi = 1j * d_r
         return ConnectionFamily(
-            lambda x, t: np.diag(1j * (a_arr + t * r_arr)),
-            dim,
-            psi=lambda x, t: np.diag(1j * r_arr),
+            lambda x, t: 1j * (d_a + t * d_r),
+            len(d_a),
+            psi=lambda x, t: d_psi,
         )
 
 
 def monodromy(
-    family: ConnectionFamily, steps: int = 256, t: float = 0.0
+    family: ConnectionFamily, steps: int = 256, t: float | Sequence[float] = 0.0
 ) -> np.ndarray:
     """Phi(2*pi) from Phi' + A(x) Phi = 0, Phi(0) = Id (classical RK4).
 
     The connection is evaluated once per node: k2 and k3 share x + h/2, and
-    the end of one step is the start of the next.
+    the end of one step is the start of the next.  A scalar ``t`` gives the
+    n x n matrix; a sequence of ``t`` gives the (len(t), n, n) stack, one
+    Phi(2*pi) per value, each with the bytes of its own scalar integration.
     """
     import numpy as np
     if steps < MIN_ODE_STEPS:
@@ -334,8 +338,20 @@ def monodromy(
     h = _TWO_PI / steps
     phi = np.eye(family.dim, dtype=complex)
 
-    def minus_a(x):
-        return -np.asarray(family.a_form(x, t), dtype=complex)
+    if np.ndim(t) == 0:
+        where = f"t={t}"
+
+        def minus_a(x):
+            return -np.asarray(family.a_form(x, t), dtype=complex)
+    else:
+        ts = tuple(t)
+        if not ts:
+            raise ValueError("monodromy needs at least one value of t")
+        where = "t in {" + ", ".join(map(str, ts)) + "}"
+
+        def minus_a(x):
+            # the first product broadcasts the identity phi to the stack
+            return -np.array([family.a_form(x, u) for u in ts], dtype=complex)
 
     x = 0.0
     a_start = minus_a(x)
@@ -352,10 +368,15 @@ def monodromy(
             a_start = a_end
     except FloatingPointError as exc:
         raise FloatingPointError(
-            f"RK4 monodromy of a {family.dim}x{family.dim} connection family at t={t} "
+            f"RK4 monodromy of a {family.dim}x{family.dim} connection family at {where} "
             f"with {steps} steps: {exc}"
         ) from None
     return phi
+
+
+def _check_step(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"variation step dt must be positive and finite, got {dt}")
 
 
 def _wrap_half(x: float) -> float:
@@ -376,21 +397,19 @@ def arg_derivative_check(
 
     The left side is the central difference of the Arg class of the
     monodromy (mod-Z aware); the right side is a trapezoid integral of the
-    trace of the family derivative.
+    trace of the family derivative.  Both monodromies come from one RK4
+    pass over the stack of t + dt and t - dt.
     """
     import numpy as np
     if family.psi is None:
         raise ValueError("family carries no psi samples")
-    arg_p = arg_class(monodromy(family, steps, t + dt))
-    arg_m = arg_class(monodromy(family, steps, t - dt))
-    diff = arg_p - arg_m
+    _check_step(dt)
+    phi_p, phi_m = monodromy(family, steps, (t + dt, t - dt))
+    diff = arg_class(phi_p) - arg_class(phi_m)
     deriv = complex(_wrap_half(diff.real), diff.imag) / (2.0 * dt)
 
-    n = family.n_grid
-    xs = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-    traces = np.array(
-        [np.trace(np.asarray(family.psi(x, t), dtype=complex)) for x in xs]
-    )
+    xs = np.linspace(0.0, _TWO_PI, family.n_grid, endpoint=False)
+    traces = np.array([family.psi(x, t) for x in xs], dtype=complex).trace(axis1=1, axis2=2)
     integral = complex(traces.mean() * _TWO_PI)
     rhs = -integral / (2j * _PI)
     return abs(deriv - rhs)
@@ -403,6 +422,7 @@ def eta_variation_check(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """Residual of d/dt eta(a(t)) = -a'(t) for a rank-1 path (mod-Z aware)."""
+    _check_step(dt)
     eta_p = eta_invariant(Lattice(complex(a_path(t + dt))), tol)
     eta_m = eta_invariant(Lattice(complex(a_path(t - dt))), tol)
     diff = eta_p - eta_m

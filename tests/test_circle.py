@@ -206,14 +206,51 @@ class TestMonodromy:
         nodes = []
 
         def a_form(x, t):
-            nodes.append(x)
-            return np.array([[1j * (0.3 + 0.1 * math.cos(x))]])
+            nodes.append((x, t))
+            return np.array([[1j * (0.3 + 0.1 * math.cos(x) + t)]])
 
         fam = ConnectionFamily(a_form, 1)
         nodes.clear()
         monodromy(fam, 64)
         assert len(nodes) == 2 * 64 + 1
         assert len(set(nodes)) == len(nodes)
+        # a stack evaluates A once per (node, t) pair
+        nodes.clear()
+        monodromy(fam, 64, (0.1, -0.1))
+        assert len(nodes) == 2 * (2 * 64 + 1)
+        assert len(set(nodes)) == len(nodes)
+        assert {t for _, t in nodes} == {0.1, -0.1}
+
+    @pytest.mark.parametrize("steps", [64, 512])
+    def test_stack_has_the_bytes_of_scalar_integrations(self, steps):
+        rng = random.Random(11)
+
+        def rc():
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        m2 = np.array([[rc() for _ in range(2)] for _ in range(2)])
+        m3 = np.array([[rc() for _ in range(3)] for _ in range(3)])
+        b3 = np.array([[rc() for _ in range(3)] for _ in range(3)])
+        families = [
+            ConnectionFamily.constant(m2),
+            ConnectionFamily.constant(m3),
+            ConnectionFamily.diagonal_path([0.25, 0.55 + 0.1j, rc()], [1.0, -0.5j, rc()]),
+            ConnectionFamily.rank1_path(0.3 - 0.2j),
+            ConnectionFamily(lambda x, t: m3 + (t * math.sin(x) + 0.2 * math.cos(2 * x)) * b3, 3),
+        ]
+        for fam in families:
+            for pair in ((0.0, -0.0), (1e-4, -1e-4), (0.35, -1.5)):
+                stack = monodromy(fam, steps, pair)
+                assert stack.shape == (2, fam.dim, fam.dim)
+                for i, t in enumerate(pair):
+                    phi = monodromy(fam, steps, t)
+                    assert phi.shape == (fam.dim, fam.dim)
+                    # tobytes, so that a signed zero counts as a difference
+                    assert stack[i].tobytes() == phi.tobytes()
+
+    def test_empty_stack_refused(self):
+        with pytest.raises(ValueError, match="at least one value of t"):
+            monodromy(ConnectionFamily.rank1_path(0.3), 64, ())
 
     def test_step_minimum(self):
         fam = ConnectionFamily.constant(np.zeros((1, 1)))
@@ -268,6 +305,39 @@ class TestVariationChecks:
         fam = ConnectionFamily.constant(np.zeros((1, 1)))
         with pytest.raises(ValueError):
             arg_derivative_check(fam, 1e-4)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -1e-4, math.nan, math.inf])
+    def test_bad_step_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            arg_derivative_check(ConnectionFamily.rank1_path(0.25), dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            eta_variation_check(lambda t: 0.25 + t, dt)
+
+    def test_arg_check_equals_two_scalar_integrations(self):
+        def reference(fam, dt, t, steps=512):
+            diff = arg_class(monodromy(fam, steps, t + dt)) - arg_class(monodromy(fam, steps, t - dt))
+            wrapped = diff.real - math.floor(diff.real)
+            if wrapped > 0.5:
+                wrapped -= 1.0
+            deriv = complex(wrapped, diff.imag) / (2.0 * dt)
+            xs = np.linspace(0.0, 2 * PI, fam.n_grid, endpoint=False)
+            traces = np.array([np.trace(np.asarray(fam.psi(x, t), dtype=complex)) for x in xs])
+            rhs = -complex(traces.mean() * 2 * PI) / (2j * PI)
+            return abs(deriv - rhs)
+
+        b = np.array([[0.2, 0.1j, 0.0], [0.3, -0.1, 0.05], [0.0, 0.2j, 0.4]])
+        families = [
+            ConnectionFamily.rank1_path(0.25),
+            ConnectionFamily.diagonal_path([0.25, 0.55 + 0.1j], [1.0, -0.5j]),
+            ConnectionFamily.diagonal_path([0.3, 0.6, 0.1 - 0.2j], [0.5, 0.0, 1j]),
+            ConnectionFamily(
+                lambda x, t: 1j * np.diag([0.3, 0.6, 0.1]) + (t * math.cos(x)) * b, 3,
+                psi=lambda x, t: math.cos(x) * b,
+            ),
+        ]
+        for fam in families:
+            for t, dt in ((0.0, 1e-4), (0.05, 1e-3), (-0.3, 1e-4)):
+                assert arg_derivative_check(fam, dt, t) == reference(fam, dt, t)
 
 
 class TestHolomorphy:

@@ -119,6 +119,22 @@ class TestCommands:
         ]
         assert len(calls) == 1
 
+    def test_variation_integrates_once(self, monkeypatch):
+        import zetadet.circle as circle
+
+        calls = []
+        real = circle.monodromy
+
+        def counted(family, steps, t):
+            calls.append(t)
+            return real(family, steps, t)
+
+        monkeypatch.setattr(circle, "monodromy", counted)
+        params = {"dt": 1e-4, "t": 0.4, "path": {"kind": "affine", "a0": {"re": 0.25, "im": 0.0}}}
+        res = run(_job("variation", params=params))
+        assert [c["name"] for c in res["checks"]] == ["eta_variation", "arg_derivative"]
+        assert calls == [(0.4 + 1e-4, 0.4 - 1e-4)]
+
     def test_zeta_command(self):
         res = run(
             _job(
@@ -520,6 +536,12 @@ class TestCliEntry:
                  "params": {"family": {"kind": "constant", "matrix": [[{"re": 1e200, "im": 0.0}]]}}},
                 [], "FloatingPoint", ("RK4 monodromy", "1x1", "t=0.0", "256 steps", "overflow"),
                 id="numpy-overflow",
+            ),
+            pytest.param(
+                {"command": "variation",
+                 "params": {"path": {"kind": "affine", "a0": {"re": 0.3, "im": 200.0}, "rate": {"re": 0.5, "im": 0.0}}}},
+                [], "FloatingPoint", ("RK4 monodromy", "1x1", "t in {0.0001, -0.0001}", "512 steps", "overflow"),
+                id="variation-stack-overflow",
             ),
             pytest.param(
                 {"command": "verify", "model": {"type": "monodromy", "matrix": [[1e200, 0], [0, 1e200]]}},
