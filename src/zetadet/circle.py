@@ -10,8 +10,12 @@ the torsion equals det(I - representation).
 
 Monodromy matrices are integrated with a classical 4th-order scheme from
 Phi' + A(x) Phi = 0, Phi(0) = Id; the representation is Phi(2*pi)^{-1}.
-Several values of the family parameter t integrate as one (len(t), n, n)
-stack, so the variation check steps through t + dt and t - dt once.
+When a family is flagged ``constant_in_x`` (every family the builders here
+and the CLI make), each RK4 step multiplies Phi by one matrix I + E, and
+Phi(2*pi) is that matrix raised to the number of steps by binary powering;
+a family that depends on x is stepped through node by node.  Several values
+of the family parameter t integrate as one (len(t), n, n) stack, so the
+variation check integrates t + dt and t - dt once.
 """
 
 from __future__ import annotations
@@ -273,13 +277,16 @@ class ConnectionFamily:
 
     ``a_form`` maps (x, t) to an n x n array; ``psi`` optionally supplies the
     t-derivative of the family.  The sampling grid is uniform with at least
-    64 points and A must be 2*pi-periodic.
+    64 points and A must be 2*pi-periodic.  ``constant_in_x`` declares that
+    A (and so psi) does not depend on x, which lets ``monodromy`` power one
+    RK4 step and ``arg_derivative_check`` sample psi once.
     """
 
     a_form: Callable[[float, float], np.ndarray]
     dim: int
     psi: Callable[[float, float], np.ndarray] | None = None
     n_grid: int = 256
+    constant_in_x: bool = False
 
     def __post_init__(self):
         import numpy as np
@@ -291,12 +298,14 @@ class ConnectionFamily:
             raise ValueError("a_form must return dim x dim matrices")
         if not np.allclose(a0, a1, atol=1e-10):
             raise ValueError("connection form must be 2*pi-periodic")
+        if self.constant_in_x and not np.array_equal(np.asarray(self.a_form(_PI, 0.0), dtype=complex), a0):
+            raise ValueError("constant_in_x is set, but a_form(pi, 0) differs from a_form(0, 0)")
 
     @staticmethod
     def constant(matrix) -> "ConnectionFamily":
         import numpy as np
         mat = np.asarray(matrix, dtype=complex)
-        return ConnectionFamily(lambda x, t: mat, mat.shape[0])
+        return ConnectionFamily(lambda x, t: mat, mat.shape[0], constant_in_x=True)
 
     @staticmethod
     def rank1_path(a0: complex) -> "ConnectionFamily":
@@ -307,6 +316,7 @@ class ConnectionFamily:
             lambda x, t: np.array([[1j * (a0 + t)]], dtype=complex),
             1,
             psi=lambda x, t: np.array([[1j]], dtype=complex),
+            constant_in_x=True,
         )
 
     @staticmethod
@@ -319,7 +329,44 @@ class ConnectionFamily:
             lambda x, t: 1j * (d_a + t * d_r),
             len(d_a),
             psi=lambda x, t: d_psi,
+            constant_in_x=True,
         )
+
+
+def _rk4_increment(a_start, a_mid, a_end, phi, h):
+    """Phi(x + h) - Phi(x) of one classical RK4 step, with -A at x, x + h/2, x + h."""
+    k1 = a_start @ phi
+    k2 = a_mid @ (phi + 0.5 * h * k1)
+    k3 = a_mid @ (phi + 0.5 * h * k2)
+    k4 = a_end @ (phi + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _power_of_step(eye, e, steps: int):
+    """(I + E)^steps by binary powering, squaring no further than the top bit of ``steps``.
+
+    Above the last three levels the powers are carried as increments X of
+    I + X, multiplied as (I + X)(I + Y) = I + (X + Y + XY), so that the
+    small E of a step is not rounded against I.  The last three levels
+    multiply plain matrices: there I + X can cancel, when Phi decays.  The
+    switch depends on ``steps`` alone, so every member of a stack takes the
+    path of its own scalar integration.
+    """
+    x, y = e, None  # base I + x; result I + y, the identity while y is None
+    while steps >= 8:
+        if steps & 1:
+            y = x if y is None else x + y + x @ y
+        x = x + x + x @ x
+        steps >>= 1
+    base = eye + x
+    phi = None if y is None else eye + y
+    while True:
+        if steps & 1:
+            phi = base if phi is None else phi @ base
+        steps >>= 1
+        if not steps:
+            return phi
+        base = base @ base
 
 
 def monodromy(
@@ -327,10 +374,14 @@ def monodromy(
 ) -> np.ndarray:
     """Phi(2*pi) from Phi' + A(x) Phi = 0, Phi(0) = Id (classical RK4).
 
-    The connection is evaluated once per node: k2 and k3 share x + h/2, and
-    the end of one step is the start of the next.  A scalar ``t`` gives the
-    n x n matrix; a sequence of ``t`` gives the (len(t), n, n) stack, one
-    Phi(2*pi) per value, each with the bytes of its own scalar integration.
+    For a family ``constant_in_x`` every step multiplies Phi by the same
+    matrix I + E, so A is evaluated once per t and Phi(2*pi) = (I + E)^steps
+    is formed by binary powering in O(log steps) products.  Otherwise the
+    steps run in turn and the connection is evaluated once per node: k2 and
+    k3 share x + h/2, and the end of one step is the start of the next.  A
+    scalar ``t`` gives the n x n matrix; a sequence of ``t`` gives the
+    (len(t), n, n) stack, one Phi(2*pi) per value, each with the bytes of
+    its own scalar integration.
     """
     import numpy as np
     if steps < MIN_ODE_STEPS:
@@ -356,14 +407,12 @@ def monodromy(
     x = 0.0
     a_start = minus_a(x)
     try:
+        if family.constant_in_x:
+            return _power_of_step(phi, _rk4_increment(a_start, a_start, a_start, phi, h), steps)
         for _ in range(steps):
             a_mid = minus_a(x + 0.5 * h)
             a_end = minus_a(x + h)
-            k1 = a_start @ phi
-            k2 = a_mid @ (phi + 0.5 * h * k1)
-            k3 = a_mid @ (phi + 0.5 * h * k2)
-            k4 = a_end @ (phi + h * k3)
-            phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            phi = phi + _rk4_increment(a_start, a_mid, a_end, phi, h)
             x += h
             a_start = a_end
     except FloatingPointError as exc:
@@ -397,8 +446,9 @@ def arg_derivative_check(
 
     The left side is the central difference of the Arg class of the
     monodromy (mod-Z aware); the right side is a trapezoid integral of the
-    trace of the family derivative.  Both monodromies come from one RK4
-    pass over the stack of t + dt and t - dt.
+    trace of the family derivative, sampled once at x = 0 when the family is
+    ``constant_in_x``.  Both monodromies come from one RK4 integration of
+    the stack of t + dt and t - dt.
     """
     import numpy as np
     if family.psi is None:
@@ -408,7 +458,7 @@ def arg_derivative_check(
     diff = arg_class(phi_p) - arg_class(phi_m)
     deriv = complex(_wrap_half(diff.real), diff.imag) / (2.0 * dt)
 
-    xs = np.linspace(0.0, _TWO_PI, family.n_grid, endpoint=False)
+    xs = (0.0,) if family.constant_in_x else np.linspace(0.0, _TWO_PI, family.n_grid, endpoint=False)
     traces = np.array([family.psi(x, t) for x in xs], dtype=complex).trace(axis1=1, axis2=2)
     integral = complex(traces.mean() * _TWO_PI)
     rhs = -integral / (2j * _PI)

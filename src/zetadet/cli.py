@@ -234,6 +234,7 @@ def _family_for_path(path_kind: str, a0: complex, coeff: complex):
         lambda x, t: np.array([[1j * (a0 + coeff * math.sin(t))]], dtype=complex),
         1,
         psi=lambda x, t: np.array([[1j * coeff * math.cos(t)]], dtype=complex),
+        constant_in_x=True,
     )
 
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from zetadet import (
     trs_comparison,
 )
 from zetadet.circle import model_arg_class
+from zetadet.cli import _family_for_path
 
 from helpers import random_invertible
 
@@ -221,6 +223,75 @@ class TestMonodromy:
         assert len(set(nodes)) == len(nodes)
         assert {t for _, t in nodes} == {0.1, -0.1}
 
+        # a family constant in x evaluates A once per t
+        def flat_form(x, t):
+            nodes.append((x, t))
+            return np.array([[1j * (0.3 + t)]])
+
+        flat = ConnectionFamily(flat_form, 1, constant_in_x=True)
+        nodes.clear()
+        monodromy(flat, 64, 0.1)
+        assert nodes == [(0.0, 0.1)]
+        nodes.clear()
+        monodromy(flat, 64, (0.1, -0.1))
+        assert nodes == [(0.0, 0.1), (0.0, -0.1)]
+
+    @staticmethod
+    def _rk4_recurrence(m, steps):
+        """Phi(2*pi) of the RK4 recurrence for the constant A = m, one step at a time at 50 digits.
+
+        For a constant A each step multiplies Phi by the RK4 step of the
+        identity.  The step h is the float 2*pi/steps that ``monodromy``
+        uses, so only its rounding is measured.
+        """
+        n = len(m)
+        with mpmath.workdps(50):
+            minus_a = mpmath.matrix([[-mpmath.mpc(complex(z)) for z in row] for row in m])
+            eye = mpmath.eye(n)
+            h = mpmath.mpf(2 * PI / steps)
+            k1 = minus_a
+            k2 = minus_a * (eye + h / 2 * k1)
+            k3 = minus_a * (eye + h / 2 * k2)
+            k4 = minus_a * (eye + h * k3)
+            step = eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            phi = eye
+            for _ in range(steps):
+                phi = step * phi
+            return np.array([[complex(phi[i, j]) for j in range(n)] for i in range(n)])
+
+    def test_power_path_against_mpmath_recurrence(self):
+        rng = random.Random(23)
+        worst = 0.0
+        for case in range(24):
+            dim = 1 + case % 3
+            steps = (64, 97, 192, 256, 511)[case % 5]
+            if case % 2:  # decaying: Re lambda(A) in [0.5, 0.8]
+                lam = [complex(rng.uniform(0.5, 0.8), rng.uniform(-1, 1)) for _ in range(dim)]
+            else:
+                lam = [complex(rng.uniform(-0.3, 0.3), rng.uniform(-1, 1)) for _ in range(dim)]
+            v = 2 * np.eye(dim) + np.array(
+                [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)] for _ in range(dim)]
+            )
+            m = v @ np.diag(lam) @ np.linalg.inv(v)
+            ref = self._rk4_recurrence(m, steps)
+            phi = monodromy(ConnectionFamily.constant(m), steps)
+            worst = max(worst, float(np.max(np.abs(phi - ref)) / np.max(np.abs(ref))))
+        assert worst <= 5e-15
+
+    @pytest.mark.parametrize("steps", [64, 97, 256, 511])
+    def test_power_path_agrees_with_loop(self, steps):
+        rng = random.Random(steps)
+        for dim in (1, 2, 3):
+            m = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)] for _ in range(dim)])
+            looped = monodromy(ConnectionFamily(lambda x, t: m, dim), steps)
+            powered = monodromy(ConnectionFamily.constant(m), steps)
+            assert np.max(np.abs(powered - looped)) <= 1e-13 * np.max(np.abs(looped))
+
+    def test_power_path_takes_log_steps(self):
+        # 2**40 + 1 RK4 steps one at a time would never finish
+        phi = monodromy(ConnectionFamily.constant([[0.3j]]), 2**40 + 1)
+        assert phi[0, 0] == pytest.approx(cmath.exp(-0.6j * PI), abs=1e-12)
+
     @pytest.mark.parametrize("steps", [64, 512])
     def test_stack_has_the_bytes_of_scalar_integrations(self, steps):
         rng = random.Random(11)
@@ -262,6 +333,19 @@ class TestMonodromy:
             ConnectionFamily.constant(np.zeros((1, 1))).__class__(
                 lambda x, t: np.zeros((1, 1)), 1, n_grid=16
             )
+
+    def test_constant_in_x_is_checked(self):
+        with pytest.raises(ValueError, match="constant_in_x"):
+            ConnectionFamily(
+                lambda x, t: np.array([[1j * (0.3 + 0.1 * math.cos(x))]]), 1, constant_in_x=True
+            )
+        families = [
+            ConnectionFamily.constant([[0.1, 0.2j], [-0.3, 0.4]]),
+            ConnectionFamily.rank1_path(0.3 - 0.2j),
+            ConnectionFamily.diagonal_path([0.25, 0.55 + 0.1j], [1.0, -0.5j]),
+            _family_for_path("sine", 0.3 + 0.1j, 0.5),
+        ]
+        assert all(fam.constant_in_x for fam in families)
 
 
 class TestArgClass:

@@ -43,6 +43,24 @@ def _mask_wall_time(text: str) -> str:
     return re.sub(r'"wallTimeSeconds":[0-9.e+-]+', '"wallTimeSeconds":0', text)
 
 
+def _rk4_edge_family(target: float, steps: int) -> dict:
+    """1x1 real constant family whose RK4 monodromy R(h*g)^steps equals ``target``.
+
+    A = -g, so every step multiplies Phi by R(h*g) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    at z = h*g; g is found by bisection on the log of the product.
+    """
+    h = 2 * PI / steps
+    lo, hi = 0.0, 1e3
+    for _ in range(200):
+        g = 0.5 * (lo + hi)
+        z = h * g
+        if steps * math.log1p(z + z * z / 2 + z**3 / 6 + z**4 / 24) < math.log(target):
+            lo = g
+        else:
+            hi = g
+    return {"kind": "constant", "matrix": [[{"re": -g, "im": 0.0}]]}
+
+
 class TestSchema:
     def test_unknown_command(self):
         with pytest.raises(SchemaError):
@@ -538,6 +556,11 @@ class TestCliEntry:
                 id="numpy-overflow",
             ),
             pytest.param(
+                {"command": "monodromy", "params": {"family": _rk4_edge_family(1.8e310, 64), "steps": 64}},
+                [], "FloatingPoint", ("RK4 monodromy", "1x1", "t=0.0", "64 steps", "overflow"),
+                id="monodromy-just-above-float-range",
+            ),
+            pytest.param(
                 {"command": "variation",
                  "params": {"path": {"kind": "affine", "a0": {"re": 0.3, "im": 200.0}, "rate": {"re": 0.5, "im": 0.0}}}},
                 [], "FloatingPoint", ("RK4 monodromy", "1x1", "t in {0.0001, -0.0001}", "512 steps", "overflow"),
@@ -594,6 +617,17 @@ class TestCliEntry:
         error = json.loads(captured.err)["error"]
         assert error["code"] == code
         assert all(w in error["message"] for w in words), error["message"]
+
+    def test_monodromy_just_below_float_range(self, monkeypatch, capsys):
+        # 64 steps, where a stepping loop stays in range too: at 256 its stage sums overflow before Phi does
+        job = {"command": "monodromy", "params": {"family": _rk4_edge_family(1.8e306, 64), "steps": 64}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["monodromy", "--config", "-"]) == 0
+        (entry,), = json.loads(capsys.readouterr().out)["results"]["monodromy"]
+        assert entry["re"] == pytest.approx(1.8e306, rel=1e-9)
+        assert entry["im"] == 0.0
 
     @pytest.mark.parametrize(
         "job, words",
