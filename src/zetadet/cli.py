@@ -7,7 +7,9 @@ in the output pairs a residual with its tolerance and a pass flag; the exit
 code is 0 iff all requested checks pass.
 
 Output is deterministic for a fixed config and build except for the
-``wallTimeSeconds`` field.
+``wallTimeSeconds`` field.  ``main(argv)`` may be called many times in one
+process: it builds its argument parser once, on first use, and its output
+equals that of the shell CLI.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -25,7 +28,7 @@ from typing import Any
 
 from . import circle as circ
 from .complexcut import CutAngle
-from .config import CR_MAX_STEP, DEFAULT_TOLERANCES, MIN_ODE_STEPS, Tolerances
+from .config import CR_MAX_STEP, DEFAULT_TOLERANCES, MAX_SCAN_POINTS, MIN_ODE_STEPS, Tolerances
 from .determinant import ldet, verify_spectrum
 from .errors import SchemaError, ZetaDetError
 from .spectrum import Eigenvalue, Finite, Lattice, Spectrum
@@ -249,6 +252,8 @@ def _scan_grid(params: dict):
         re_n, im_n = (_as_int(grid[k], "bad-grid", f"grid {k}", 0) for k in ("reSteps", "imSteps"))
     except KeyError as exc:
         _fail("bad-grid", f"grid is missing {exc}")
+    if max(re_n, im_n, re_n * im_n) > MAX_SCAN_POINTS:
+        _fail("bad-grid", f"grid of {re_n} x {im_n} points exceeds the cap of {MAX_SCAN_POINTS}")
     points = []
     for i in range(re_n):
         re = re_lo if re_n == 1 else re_lo + (re_hi - re_lo) * i / (re_n - 1)
@@ -402,7 +407,7 @@ def run(cfg: JobConfig) -> dict:
 
 
 def render_json(result: dict) -> str:
-    return json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def render_csv(result: dict) -> str:
@@ -435,12 +440,17 @@ def _parse_tol_overrides(text: str) -> dict:
     return overrides
 
 
+def _refuse_constant(literal: str):
+    raise SchemaError("bad-json", f"config holds {literal}, which JSON does not allow")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise SchemaError("bad-args", message)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="zetadet",
         description="zeta determinants, eta invariants, and refined torsion",
@@ -450,16 +460,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--tol-overrides", default="", help="k=v[,k=v...] tolerance overrides")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.config == "-":
             text = sys.stdin.read()
         else:
             with open(args.config) as fh:
                 text = fh.read()
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise SchemaError("bad-json", f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict):

@@ -29,7 +29,8 @@ class Tolerances:
     reality: float = 1e-10             # imaginary parts required to vanish
 
     def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
+        """A copy with the given fields replaced; ``self`` itself when none are given."""
+        return replace(self, **kwargs) if kwargs else self
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -44,6 +45,10 @@ EM_MIN_TERMS = 20
 # shifts).  A job needing more is refused rather than left running; the cap is
 # not a tolerance, so no job can raise it.
 MAX_EXPLICIT_TERMS = 100_000
+
+# Cap on the points of a scan grid, and on each of its axes, checked before the
+# grid is built; a constant like the one above.
+MAX_SCAN_POINTS = 100_000
 
 # Finite-difference step ceiling for holomorphy scans.
 CR_MAX_STEP = 1e-4

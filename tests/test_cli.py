@@ -12,6 +12,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from zetadet import cli
 from zetadet.cli import (
     COMMANDS,
     main,
@@ -21,6 +22,7 @@ from zetadet.cli import (
     run,
     scan_rows,
 )
+from zetadet.config import DEFAULT_TOLERANCES, MAX_SCAN_POINTS, Tolerances
 from zetadet.errors import SchemaError
 from zetadet.spectrum import square_spectrum
 
@@ -41,6 +43,18 @@ def _job(command, model=None, **kwargs):
 
 def _mask_wall_time(text: str) -> str:
     return re.sub(r'"wallTimeSeconds":[0-9.e+-]+', '"wallTimeSeconds":0', text)
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _shell_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout (wall time masked) and stderr of the CLI run in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetadet.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, _mask_wall_time(proc.stdout), proc.stderr
 
 
 def _rk4_edge_family(target: float, steps: int) -> dict:
@@ -281,6 +295,43 @@ class TestScan:
         assert res["results"]["rowCount"] == 0
         assert render_csv(res).splitlines()[0].startswith("a_re,")
 
+    @pytest.mark.parametrize(
+        "re_n, im_n",
+        [(1, MAX_SCAN_POINTS + 1), (MAX_SCAN_POINTS + 1, 1), (MAX_SCAN_POINTS + 1, 0), (317, 317)],
+    )
+    def test_grid_cap_refused_before_allocation(self, monkeypatch, re_n, im_n):
+        import tracemalloc
+
+        def no_row(*args):
+            raise AssertionError("a row ran past the grid cap")
+
+        monkeypatch.setattr(cli, "_scan_row", no_row)
+        cfg = _job("scan", params={"grid": {**ONE_POINT_GRID, "reSteps": re_n, "imSteps": im_n}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as exc:
+                scan_rows(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "bad-grid"
+        assert str(MAX_SCAN_POINTS) in str(exc.value)
+        assert peak < 64 * 1024  # the grid's points alone would take megabytes
+
+    def test_grid_at_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(cli, "_scan_row", lambda a, h, tol: {})
+        cfg = _job("scan", params={"grid": {**ONE_POINT_GRID, "reSteps": 1, "imSteps": MAX_SCAN_POINTS}})
+        assert len(scan_rows(cfg)) == MAX_SCAN_POINTS
+
+    def test_grid_cap_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_scan_row", lambda a, h, tol: pytest.fail("a row ran past the grid cap"))
+        job = {"command": "scan", "params": {"grid": {**ONE_POINT_GRID, "reSteps": 317, "imSteps": 317}}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["scan", "--config", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "bad-grid"
+
     def test_partial_failure_flagged(self):
         cfg = _job(
             "scan",
@@ -448,8 +499,41 @@ class TestCliEntry:
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         assert main(["torsion", "--config", "-"]) == 2
         captured = capsys.readouterr()
-        assert json.loads(captured.err)["error"]["code"] == "bad-complex"
+        # NaN and Infinity are not JSON, so they are refused while the config is parsed
+        code = "bad-json" if re.search("NaN|Infinity", a) else "bad-complex"
+        assert json.loads(captured.err)["error"]["code"] == code
         assert captured.out == ""
+
+    _LATTICE = '{"type": "lattice", "a": {"re": 0.3, "im": 0.1}'
+    _PLACES = {
+        "top": '{"command": "eta", "model": %s}, "junk": %%s}' % _LATTICE,
+        "model": '{"command": "eta", "model": %s, "extra": %%s}}' % _LATTICE,
+        "params": '{"command": "eta", "model": %s}, "params": {"extra": %%s}}' % _LATTICE,
+    }
+
+    @pytest.mark.parametrize("place", sorted(_PLACES))
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_refused(self, monkeypatch, capsys, place, literal):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self._PLACES[place] % literal))
+        assert main(["eta", "--config", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "bad-json" and literal in error["message"]
+
+    @pytest.mark.parametrize("place", sorted(_PLACES))
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_literal_overflowing_to_infinity_refused(self, monkeypatch, capsys, place, literal):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self._PLACES[place] % literal))
+        assert main(["eta", "--config", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "bad-value"
+
+    def test_finite_literals_still_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self._PLACES["params"] % "1e300"))
+        assert main(["eta", "--config", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["params"] == {"extra": 1e300}
 
     @pytest.mark.parametrize(
         "model",
@@ -707,6 +791,62 @@ class TestCliEntry:
         twice = run(_job("det", {**lattice, "mu": 2.0}))["results"]["ldet"]
         assert twice["re"] == pytest.approx(2 * once["re"])
         assert twice["im"] == pytest.approx(2 * once["im"])
+
+
+class TestRepeatedMain:
+    """main() called many times in one process: one parser, no state carried between calls."""
+
+    SCAN = {"command": "scan", "params": {"grid": {**ONE_POINT_GRID, "reSteps": 2, "reStop": 0.4}}}
+    ETA = {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}}
+
+    def test_scan_after_flagged_scan_equals_fresh_process(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps(self.SCAN))
+        flags = ["--out", str(tmp_path / "rows.csv"), "--format", "csv", "--tol-overrides", "reality=1e-9"]
+        assert main(["scan", "--config", str(cfg), *flags]) == 0
+        assert capsys.readouterr().out == ""
+        rc = main(["scan", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (rc, _mask_wall_time(captured.out), captured.err) == _shell_cli(["scan", "--config", str(cfg)])
+        assert "tolerances" not in json.loads(captured.out)["config"]
+
+    def test_good_call_after_bad_args(self, tmp_path, capsys):
+        cfg = tmp_path / "eta.json"
+        cfg.write_text(json.dumps(self.ETA))
+        assert main(["eta", "--config", str(cfg), "--format", "xml"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad-args"
+        rc = main(["eta", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert (rc, _mask_wall_time(captured.out), captured.err) == _shell_cli(["eta", "--config", str(cfg)])
+
+    def test_parser_built_once(self, monkeypatch, tmp_path, capsys):
+        built = []
+        init = cli._ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        cfg = tmp_path / "eta.json"
+        cfg.write_text(json.dumps(self.ETA))
+        codes = [main(argv) for argv in (
+            ["eta", "--config", str(cfg)],
+            ["eta", "--config", str(cfg), "--frobnicate"],
+            ["eta", "--config", str(cfg), "--format", "json"],
+        )]
+        assert codes == [0, 2, 0]
+        assert len(built) == 1
+
+    def test_with_overrides_copies_only_when_overriding(self):
+        tol = Tolerances()
+        assert tol.with_overrides() is tol
+        strict = tol.with_overrides(reality=1e-9)
+        assert strict is not tol and strict.reality == 1e-9
+        assert strict.with_overrides(reality=tol.reality) == tol
+        assert parse_config({"command": "eta"}).tolerances is DEFAULT_TOLERANCES
 
 
 def test_render_json_is_sorted_and_compact():
