@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -264,21 +265,28 @@ def _scan_grid(params: dict):
 
 
 def _scan_row(a: complex, h: float, tol: Tolerances) -> dict:
+    """One grid point: the torsion, Im eta and T^RS, and nothing the row does not print.
+
+    They are taken in the order ``refined_torsion`` takes them, so a row that
+    fails names the same error as it would there.
+    """
     row: dict[str, Any] = {"a_re": a.real, "a_im": a.imag, "status": "ok"}
     try:
         model = circ.build_rank1(a, tol)
-        report = circ.refined_torsion(model, tol)
+        torsion = circ.torsion_ldet(model, tol).det
+        im_eta = eta_invariant(model.spectrum(), tol).imag
+        t_rs = circ.ray_singer_torsion(model, tol)
 
         def torsion_at(z: complex) -> complex:
             return circ.torsion_ldet(circ.build_rank1(z, tol), tol).det
 
         cr = circ.cr_residual(torsion_at, a, h)
         row.update(
-            t_re=report.torsion.real,
-            t_im=report.torsion.imag,
-            t_abs=abs(report.torsion),
-            t_rs=report.ray_singer,
-            im_eta=report.im_eta,
+            t_re=torsion.real,
+            t_im=torsion.imag,
+            t_abs=abs(torsion),
+            t_rs=t_rs,
+            im_eta=im_eta,
             cr_residual=cr,
         )
     except ZetaDetError as exc:
@@ -444,6 +452,34 @@ def _refuse_constant(literal: str):
     raise SchemaError("bad-json", f"config holds {literal}, which JSON does not allow")
 
 
+# A number literal of magnitude 10^309 or more has an exponent of three digits or,
+# with an exponent of at most 99, at least 210 digits before its point.  The text
+# is searched for either shape with every digit read as 0, E as e and plus signs
+# dropped; text without one holds no number that parsed to infinity.  (On text
+# that is mostly digits, the compiled search finds "e000" faster than ``in``.)
+_NUMBER_SHAPE = bytes.maketrans(b"123456789E", b"000000000e")
+_BIG_EXPONENT = re.compile(rb"e000")
+_LONG_MANTISSA = b"0" * 210
+
+
+def _may_overflow(text: str) -> bool:
+    shape = text.encode("ascii", "replace").translate(_NUMBER_SHAPE, b"+")
+    return _BIG_EXPONENT.search(shape) is not None or _LONG_MANTISSA in shape
+
+
+def _refuse_overflow(raw: dict) -> None:
+    """Refuse a number literal that parsed to infinity, naming the field that holds it."""
+    stack = list(raw.items())
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, float) and math.isinf(node):
+            _fail("bad-value", f"config field {path} overflows the float range")
+        if isinstance(node, dict):
+            stack.extend((f"{path}.{key}", value) for key, value in node.items())
+        elif isinstance(node, list):
+            stack.extend((f"{path}[{i}]", value) for i, value in enumerate(node))
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise SchemaError("bad-args", message)
@@ -477,6 +513,8 @@ def main(argv: list[str] | None = None) -> int:
             raise SchemaError("bad-json", f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise SchemaError("bad-config", "configuration must be a JSON object")
+        if _may_overflow(text):
+            _refuse_overflow(raw)
         raw.setdefault("command", args.command)
         if raw["command"] != args.command:
             raise SchemaError("bad-command", "config command disagrees with CLI command")

@@ -64,7 +64,11 @@ ARG_PAIRING_SIGN = -1.0
 
 
 def em_num_terms(s: complex, q: complex) -> int:
-    """Shift length for the Euler-Maclaurin evaluation of the Hurwitz zeta."""
+    """Shift length N for the Euler-Maclaurin evaluation of the Hurwitz zeta.
+
+    N also sets the remainder point w + N of every rung of the Hermitian
+    series in ``zetafun._tail``: its first N - 1 shifts sum in closed form.
+    """
     return max(EM_MIN_TERMS, explicit_terms(10.0 + abs(s.imag) + abs(q)))
 
 

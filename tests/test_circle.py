@@ -169,6 +169,31 @@ class TestRaySinger:
             assert rep.residual_modulus < 1e-6 * (1 + abs(rep.torsion))
             assert rep.residual_arg_pairing < 1e-6
 
+    @staticmethod
+    def _closed_form(a: complex):
+        """|det(I - exp(2*pi*i*a))| = sqrt(2 cosh 2*pi*y - 2 cos 2*pi*x), to 40 digits."""
+        with mpmath.workdps(40):
+            x, y = mpmath.mpf(a.real), mpmath.mpf(a.imag)
+            return mpmath.sqrt(2 * mpmath.cosh(2 * mpmath.pi * y) - 2 * mpmath.cos(2 * mpmath.pi * x))
+
+    def test_against_closed_form_on_random_points(self):
+        rng = random.Random(2014)
+        worst = 0.0
+        for _ in range(400):
+            a = complex(rng.random() + rng.randint(-2, 2), rng.uniform(-3.0, 3.0))
+            ref = self._closed_form(a)
+            worst = max(worst, float(abs(ray_singer_torsion(build_rank1(a)) - ref) / ref))
+        assert worst <= 5e-14
+
+    @pytest.mark.parametrize("im", [10.0, -10.0, 40.0, -40.0, 150.0, -150.0])
+    @pytest.mark.parametrize("re", [0.3, 0.77, -1.41, 2.5])
+    def test_against_closed_form_at_large_imaginary_part(self, re, im):
+        # T^RS is exp of a sum of about 2|Im a| logs, so its relative error is the
+        # absolute error of log T^RS; that is bounded relative to log T^RS itself
+        ref = self._closed_form(complex(re, im))
+        got = ray_singer_torsion(build_rank1(complex(re, im)))
+        assert float(abs(got - ref) / ref) <= 5e-14 * float(mpmath.log(ref))
+
     def test_arg_class_of_model_is_that_of_its_representation(self):
         for params in ((0.25 + 0.1j, 1), (0.75 - 0.2j, 2)), ((0.5 + 0.3j, 3),), ((0.9 - 2.0j, 1),):
             model = CircleModel(params)

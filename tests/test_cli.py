@@ -12,7 +12,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from zetadet import cli
+from zetadet import circle as circ, cli
 from zetadet.cli import (
     COMMANDS,
     main,
@@ -23,7 +23,7 @@ from zetadet.cli import (
     scan_rows,
 )
 from zetadet.config import DEFAULT_TOLERANCES, MAX_SCAN_POINTS, Tolerances
-from zetadet.errors import SchemaError
+from zetadet.errors import SchemaError, ZetaDetError
 from zetadet.spectrum import square_spectrum
 
 PI = math.pi
@@ -352,6 +352,76 @@ class TestScan:
         assert rows[1]["t_abs"] is None
 
 
+def _refined_torsion_row(a, h, tol):
+    """A scan row built on the full ``refined_torsion``, which also computes xi."""
+    row = {"a_re": a.real, "a_im": a.imag, "status": "ok"}
+    try:
+        model = circ.build_rank1(a, tol)
+        report = circ.refined_torsion(model, tol)
+        cr = circ.cr_residual(lambda z: circ.torsion_ldet(circ.build_rank1(z, tol), tol).det, a, h)
+        row.update(
+            t_re=report.torsion.real,
+            t_im=report.torsion.imag,
+            t_abs=abs(report.torsion),
+            t_rs=report.ray_singer,
+            im_eta=report.im_eta,
+            cr_residual=cr,
+        )
+    except ZetaDetError as exc:
+        row["status"] = type(exc).__name__.removesuffix("Error")
+        for col in ("t_re", "t_im", "t_abs", "t_rs", "im_eta", "cr_residual"):
+            row[col] = None
+    return row
+
+
+def _row_or_error(row_fn, a):
+    try:
+        return row_fn(a, 1e-4, DEFAULT_TOLERANCES)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestScanRowWithoutXi:
+    """A scan row computes the torsion, T^RS and eta only; leaving xi out changes no output."""
+
+    # a real-axis point, points within acyclic_distance of an integer, a NotAgmon point
+    # (1 + 5e-9 + 120i), and a torsion that overflows the float range at Im a = -120
+    GRIDS = {
+        "edges": {"reStart": 0.5, "reStop": 1.000000005, "reSteps": 2, "imStart": 0.0, "imStop": 120.0, "imSteps": 3},
+        "below-integer": {"reStart": -0.000000005, "reStop": 0.25, "reSteps": 2, "imStart": -1.5, "imStop": 0.0, "imSteps": 2},
+        "overflow": {"reStart": 0.5, "reStop": 1.000000005, "reSteps": 2, "imStart": -120.0, "imStop": 0.0, "imSteps": 3},
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_output_and_exit_code_equal_refined_torsion_rows(self, monkeypatch, capsys, grid, fmt):
+        job = json.dumps({"command": "scan", "params": {"grid": self.GRIDS[grid]}})
+        outcomes = []
+        for row_fn in (cli._scan_row, _refined_torsion_row):
+            monkeypatch.setattr(cli, "_scan_row", row_fn)
+            monkeypatch.setattr("sys.stdin", io.StringIO(job))
+            code = main(["scan", "--config", "-", "--format", fmt])
+            captured = capsys.readouterr()
+            outcomes.append((code, _mask_wall_time(captured.out), captured.err))
+        assert outcomes[0] == outcomes[1]
+        expected = {"edges": 1, "below-integer": 1, "overflow": 2}[grid]
+        assert outcomes[0][0] == expected
+
+    def test_statuses_on_the_edge_grid(self):
+        rows = scan_rows(_job("scan", params={"grid": self.GRIDS["edges"]}))
+        assert [r["status"] for r in rows] == ["ok", "ok", "ok", "NonAcyclic", "ok", "NotAgmon"]
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(-2, 2),
+        offset=st.sampled_from([0.5e-8, 2e-8, 1e-6, 0.013, 0.5, 0.987, 1.0 - 2e-8]),
+        im=st.one_of(st.floats(-3.0, 3.0), st.floats(-125.0, 125.0), st.sampled_from([0.0, -113.0, 118.5])),
+    )
+    def test_row_equals_refined_torsion_row(self, n, offset, im):
+        a = complex(n + offset, im)
+        assert _row_or_error(cli._scan_row, a) == _row_or_error(_refined_torsion_row, a)
+
+
 class TestCliEntry:
     def test_end_to_end_json(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
@@ -534,6 +604,44 @@ class TestCliEntry:
         monkeypatch.setattr("sys.stdin", io.StringIO(self._PLACES["params"] % "1e300"))
         assert main(["eta", "--config", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["params"] == {"extra": 1e300}
+
+    _SCAN_GRID = json.dumps(ONE_POINT_GRID)
+    _SCAN_PLACES = {
+        "top": ('{"command": "scan", "params": {"grid": %s}, "junk": %%s}' % _SCAN_GRID, "junk"),
+        "model": ('{"command": "scan", "model": {"type": "rank1", "x": %%s}, "params": {"grid": %s}}' % _SCAN_GRID,
+                  "model.x"),
+        "params": ('{"command": "scan", "params": {"grid": %s, "junk": [0, {"k": %%s}]}}' % _SCAN_GRID,
+                   "params.junk[1].k"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("place", sorted(_SCAN_PLACES))
+    @pytest.mark.parametrize("literal", ["1e999", "-1E+400", "9" * 300 + "e99", "1" + "0" * 320 + ".5"])
+    def test_overflowing_literal_refused_before_any_row(self, monkeypatch, capsys, place, fmt, literal):
+        monkeypatch.setattr(cli, "_scan_row", lambda a, h, tol: pytest.fail("a scan row ran"))
+        template, path = self._SCAN_PLACES[place]
+        monkeypatch.setattr("sys.stdin", io.StringIO(template % literal))
+        assert main(["scan", "--config", "-", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "bad-value"
+        assert f"field {path} overflows" in error["message"]
+
+    def test_overflowing_literal_refused_before_the_job_runs(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("the job ran"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(self._PLACES["params"] % "1e999"))
+        assert main(["eta", "--config", "-"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": "bad-value", "message": "config field params.extra overflows the float range"}
+
+    @pytest.mark.parametrize(
+        "literal", ["1e-999", "1e+99", "1.0e0308", "9" * 200 + "e99", "0." + "0" * 400 + "1", "1" + "0" * 400]
+    )
+    def test_large_finite_literals_accepted(self, monkeypatch, capsys, literal):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self._PLACES["params"] % literal))
+        assert main(["eta", "--config", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["params"] == {"extra": json.loads(literal)}
 
     @pytest.mark.parametrize(
         "model",

@@ -155,6 +155,29 @@ class TestSpectralZeta:
         assert abs(res - brute) < 1e-8
 
 
+class TestHermitianZeta:
+    @staticmethod
+    def _chowla_selberg(a: complex, s: complex):
+        """sum over Z of |a + n|^{-2s} from its Bessel expansion, to 30 digits (Im a != 0)."""
+        with mpmath.workdps(30):
+            x, y, s = mpmath.mpf(a.real), abs(mpmath.mpf(a.imag)), mpmath.mpc(s)
+            nu = s - mpmath.mpf(1) / 2
+            series = sum(
+                m**nu * mpmath.cos(2 * mpmath.pi * m * x) * mpmath.besselk(nu, 2 * mpmath.pi * m * y)
+                for m in range(1, 60)
+            )
+            value = mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu) / mpmath.gamma(s) * y ** (1 - 2 * s)
+            return complex(value + 4 * mpmath.pi**s / mpmath.gamma(s) * y ** (-nu) * series)
+
+    # Re s >= 0.5: further left the Hurwitz error estimates are not yet honest bounds
+    @pytest.mark.parametrize("s", [3, 0.6, 0.75 + 2j, 1.5 - 0.5j])
+    @pytest.mark.parametrize("a", [0.4 + 0.3j, 0.25 - 1.2j, 0.7 + 2.5j])
+    def test_value_against_bessel_expansion(self, a, s):
+        ref = self._chowla_selberg(a, s)
+        res = spectral_zeta(HermQuadLattice(a), -PI, s)
+        assert abs(res.value - ref) <= 1e-14 * abs(ref)
+
+
 class TestZetaDerivative:
     def test_finite_log(self):
         assert zeta_ds_at_zero(Finite.of(2), -PI) == pytest.approx(-math.log(2))
