@@ -29,6 +29,7 @@ from .complexcut import CutAngle
 from .config import (
     ARG_PAIRING_SIGN,
     CR_MAX_STEP,
+    CR_MIN_INTEGER_DISTANCE,
     DEFAULT_TOLERANCES,
     MIN_FAMILY_GRID,
     MIN_ODE_STEPS,
@@ -219,10 +220,7 @@ def ray_singer_torsion(
 def arg_class(m: Sequence[Sequence[complex]] | np.ndarray) -> complex:
     """log(det M) / (2*pi*i) with the real part reduced into [0, 1)."""
     import numpy as np
-    return _det_class(complex(np.linalg.det(np.asarray(m, dtype=complex))))
-
-
-def _det_class(det: complex) -> complex:
+    det = complex(np.linalg.det(np.asarray(m, dtype=complex)))
     if det == 0:
         raise ValueError("arg_class requires an invertible matrix")
     if not cmath.isfinite(det):
@@ -473,11 +471,10 @@ def eta_variation_check(
 ) -> float:
     """Residual of d/dt eta(a(t)) = -a'(t) for a rank-1 path (mod-Z aware)."""
     _check_step(dt)
-    eta_p = eta_invariant(Lattice(complex(a_path(t + dt))), tol)
-    eta_m = eta_invariant(Lattice(complex(a_path(t - dt))), tol)
-    diff = eta_p - eta_m
+    a_p, a_m = complex(a_path(t + dt)), complex(a_path(t - dt))
+    diff = eta_invariant(Lattice(a_p), tol) - eta_invariant(Lattice(a_m), tol)
     deriv = complex(_wrap_half(diff.real), diff.imag) / (2.0 * dt)
-    a_rate = (complex(a_path(t + dt)) - complex(a_path(t - dt))) / (2.0 * dt)
+    a_rate = (a_p - a_m) / (2.0 * dt)
     return abs(deriv - (-a_rate))
 
 
@@ -489,6 +486,39 @@ def cr_residual(fn: Callable[[complex], complex], a: complex, h: float) -> float
     d_re = (fn(a + h) - fn(a - h)) / (2.0 * h)
     d_im = (fn(a + 1j * h) - fn(a - 1j * h)) / (2.0 * h)
     return abs(0.5 * (d_re + 1j * d_im))
+
+
+def scan_points(
+    re_range: Tuple[float, float], im_range: Tuple[float, float], re_steps: int, im_steps: int
+) -> list[complex]:
+    """Grid points, real part in the outer loop; an axis of one step sits at its start."""
+    def axis(lo, hi, n):
+        return [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+    ims = axis(*im_range, im_steps)
+    return [complex(re, im) for re in axis(*re_range, re_steps) for im in ims]
+
+
+@dataclass(frozen=True)
+class ScanRow:
+    torsion: complex
+    ray_singer: float
+    im_eta: float
+    cr_residual: float
+
+
+def scan_row(a: complex, h: float, tol: Tolerances = DEFAULT_TOLERANCES) -> ScanRow:
+    """The torsion, T^RS, Im eta and ``cr_residual`` of a -> T at one point; never xi.
+
+    T, eta and T^RS come in the order ``refined_torsion`` takes them, then the
+    four finite-difference torsions, so a failing point names the same error.
+    """
+    model = build_rank1(a, tol)
+    torsion = torsion_ldet(model, tol).det
+    im_eta = eta_invariant(model.spectrum(), tol).imag
+    t_rs = ray_singer_torsion(model, tol)
+    cr = cr_residual(lambda z: torsion_ldet(build_rank1(z, tol), tol).det, a, h)
+    return ScanRow(torsion, t_rs, im_eta, cr)
 
 
 @dataclass(frozen=True)
@@ -504,35 +534,17 @@ def holomorphy_scan(
     grid: int,
     h: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    fn: Callable[[complex], complex] | None = None,
 ) -> HolomorphyReport:
-    """Max ``cr_residual`` of a -> T(a) over a rectangular grid.
-
-    ``fn`` replaces the torsion map when supplied.
-    """
+    """Max ``cr_residual`` and max |T| over the ``scan_row``s of a grid x grid ``scan_points`` grid."""
     if not 0.0 < h <= CR_MAX_STEP:
         raise ValueError(f"finite-difference step must lie in (0, {CR_MAX_STEP}]")
-    re_lo, re_hi = re_range
-    im_lo, im_hi = im_range
     if grid < 1:
         raise ValueError("grid must be positive")
-
-    if fn is None:
-        def fn(a: complex) -> complex:
-            return torsion_ldet(build_rank1(a, tol), tol).det
-
-    def sample(axis_lo, axis_hi):
-        if grid == 1:
-            return [0.5 * (axis_lo + axis_hi)]
-        return [axis_lo + (axis_hi - axis_lo) * i / (grid - 1) for i in range(grid)]
-
-    max_res = 0.0
-    max_abs = 0.0
-    for re in sample(re_lo, re_hi):
-        for im in sample(im_lo, im_hi):
-            a = complex(re, im)
-            if dist_to_integers(a) < 0.05:
-                raise NonAcyclicError(f"grid point {a} too close to an integer")
-            max_res = max(max_res, cr_residual(fn, a, h))
-            max_abs = max(max_abs, abs(fn(a)))
+    max_res = max_abs = 0.0
+    for a in scan_points(re_range, im_range, grid, grid):
+        if dist_to_integers(a) < CR_MIN_INTEGER_DISTANCE:
+            raise NonAcyclicError(f"grid point {a} too close to an integer")
+        row = scan_row(a, h, tol)
+        max_res = max(max_res, row.cr_residual)
+        max_abs = max(max_abs, abs(row.torsion))
     return HolomorphyReport(max_res, max_abs, (grid, grid))

@@ -255,44 +255,26 @@ def _scan_grid(params: dict):
         _fail("bad-grid", f"grid is missing {exc}")
     if max(re_n, im_n, re_n * im_n) > MAX_SCAN_POINTS:
         _fail("bad-grid", f"grid of {re_n} x {im_n} points exceeds the cap of {MAX_SCAN_POINTS}")
-    points = []
-    for i in range(re_n):
-        re = re_lo if re_n == 1 else re_lo + (re_hi - re_lo) * i / (re_n - 1)
-        for j in range(im_n):
-            im = im_lo if im_n == 1 else im_lo + (im_hi - im_lo) * j / (im_n - 1)
-            points.append(complex(re, im))
-    return points
+    return circ.scan_points((re_lo, re_hi), (im_lo, im_hi), re_n, im_n)
 
 
 def _scan_row(a: complex, h: float, tol: Tolerances) -> dict:
-    """One grid point: the torsion, Im eta and T^RS, and nothing the row does not print.
-
-    They are taken in the order ``refined_torsion`` takes them, so a row that
-    fails names the same error as it would there.
-    """
+    """One grid point: ``circle.scan_row`` as a row, or its error's name in ``status``."""
     row: dict[str, Any] = {"a_re": a.real, "a_im": a.imag, "status": "ok"}
     try:
-        model = circ.build_rank1(a, tol)
-        torsion = circ.torsion_ldet(model, tol).det
-        im_eta = eta_invariant(model.spectrum(), tol).imag
-        t_rs = circ.ray_singer_torsion(model, tol)
-
-        def torsion_at(z: complex) -> complex:
-            return circ.torsion_ldet(circ.build_rank1(z, tol), tol).det
-
-        cr = circ.cr_residual(torsion_at, a, h)
-        row.update(
-            t_re=torsion.real,
-            t_im=torsion.imag,
-            t_abs=abs(torsion),
-            t_rs=t_rs,
-            im_eta=im_eta,
-            cr_residual=cr,
-        )
+        r = circ.scan_row(a, h, tol)
     except ZetaDetError as exc:
         row["status"] = type(exc).__name__.removesuffix("Error")
-        for col in ("t_re", "t_im", "t_abs", "t_rs", "im_eta", "cr_residual"):
-            row[col] = None
+        row.update(dict.fromkeys(SCAN_COLUMNS[2:-1]))
+        return row
+    row.update(
+        t_re=r.torsion.real,
+        t_im=r.torsion.imag,
+        t_abs=abs(r.torsion),
+        t_rs=r.ray_singer,
+        im_eta=r.im_eta,
+        cr_residual=r.cr_residual,
+    )
     return row
 
 

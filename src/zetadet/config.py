@@ -50,8 +50,10 @@ MAX_EXPLICIT_TERMS = 100_000
 # grid is built; a constant like the one above.
 MAX_SCAN_POINTS = 100_000
 
-# Finite-difference step ceiling for holomorphy scans.
+# Finite-difference step ceiling for holomorphy scans, and the least distance
+# of a ``holomorphy_scan`` grid point to the integers.
 CR_MAX_STEP = 1e-4
+CR_MIN_INTEGER_DISTANCE = 0.05
 
 # Minimum ODE steps for monodromy integration and minimum sampling grid for
 # connection families.

@@ -23,8 +23,8 @@ from zetadet import (
     refined_torsion,
     trs_comparison,
 )
-from zetadet.circle import model_arg_class
-from zetadet.cli import _family_for_path
+from zetadet.circle import cr_residual, model_arg_class, scan_points, scan_row
+from zetadet.cli import _family_for_path, parse_config, scan_rows
 
 from helpers import random_invertible
 
@@ -449,6 +449,14 @@ class TestVariationChecks:
                 assert arg_derivative_check(fam, dt, t) == reference(fam, dt, t)
 
 
+def _cli_scan_rows(re_range, im_range, re_steps, im_steps):
+    grid = {
+        "reStart": re_range[0], "reStop": re_range[1], "reSteps": re_steps,
+        "imStart": im_range[0], "imStop": im_range[1], "imSteps": im_steps,
+    }
+    return scan_rows(parse_config({"command": "scan", "params": {"grid": grid}}))
+
+
 class TestHolomorphy:
     def test_torsion_is_holomorphic(self):
         rep = holomorphy_scan((0.2, 0.8), (-0.2, 0.2), 5, 1e-4)
@@ -470,8 +478,29 @@ class TestHolomorphy:
         def fn(a: complex) -> complex:
             return cmath.exp(-2j * PI * eta_invariant(Lattice(a)))
 
-        rep = holomorphy_scan((0.2, 0.8), (-0.2, 0.2), 5, 1e-4, fn=fn)
-        assert rep.max_cr_residual < 1e-5 * rep.max_abs_torsion
+        points = scan_points((0.2, 0.8), (-0.2, 0.2), 5, 5)
+        max_res = max(cr_residual(fn, a, 1e-4) for a in points)
+        assert max_res < 1e-5 * max(abs(fn(a)) for a in points)
+
+    @pytest.mark.parametrize(
+        "re_range, im_range, grid",
+        [((0.2, 0.8), (-0.2, 0.2), 4), ((-1.7, -1.1), (0.5, 2.5), 3)],
+    )
+    def test_scan_reduces_over_the_cli_rows(self, re_range, im_range, grid):
+        rep = holomorphy_scan(re_range, im_range, grid, 1e-4)
+        rows = _cli_scan_rows(re_range, im_range, grid, grid)
+        assert len(rows) == grid * grid and all(r["status"] == "ok" for r in rows)
+        assert rep.max_cr_residual == max(r["cr_residual"] for r in rows)
+        assert rep.max_abs_torsion == max(r["t_abs"] for r in rows)
+
+    def test_one_step_axis_samples_its_start(self):
+        assert scan_points((0.2, 0.8), (-0.3, 0.4), 1, 1) == [complex(0.2, -0.3)]
+        assert scan_points((0.2, 0.8), (-0.3, 0.4), 1, 3) == pytest.approx([0.2 - 0.3j, 0.2 + 0.05j, 0.2 + 0.4j])
+        start = scan_row(complex(0.2, -0.3), 1e-4)
+        rep = holomorphy_scan((0.2, 0.8), (-0.3, 0.4), 1, 1e-4)
+        assert (rep.max_cr_residual, rep.max_abs_torsion) == (start.cr_residual, abs(start.torsion))
+        rows = _cli_scan_rows((0.2, 0.8), (-0.3, 0.4), 1, 1)
+        assert [(r["a_re"], r["a_im"], r["cr_residual"]) for r in rows] == [(0.2, -0.3, start.cr_residual)]
 
     def test_grid_near_integer_rejected(self):
         with pytest.raises(NonAcyclicError):

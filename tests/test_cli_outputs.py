@@ -1,0 +1,105 @@
+"""``tools/cli_outputs.py --compare`` on small hand-built recordings."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "cli_outputs", Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
+)
+cli_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_outputs)
+
+_JSON_OUT = {
+    "checks": [{"name": "trs_log_ratio", "pass": True, "residual": 2e-15, "tolerance": 1e-6}],
+    "results": {"torsion": {"re": 0.41, "im": -1.26}},
+    "wallTimeSeconds": None,
+}
+_CSV_OUT = "a_re,a_im,t_abs,status\n0.3,0.0,1.618,ok\n0.7,0.0,1.618,ok\n"
+
+
+def _recording():
+    return [
+        {
+            "workload": "model_jobs", "seed": 1, "slot": 0,
+            "argv": ["torsion", "--config", "-", "--format", "json"],
+            "exit": 0, "stdout": json.dumps(_JSON_OUT) + "\n", "stderr": "",
+        },
+        {
+            "workload": "scan_grid", "seed": 1, "slot": 1,
+            "argv": ["scan", "--config", "-", "--format", "csv"],
+            "exit": 0, "stdout": _CSV_OUT, "stderr": "",
+        },
+    ]
+
+
+def _compare(tmp_path, recs_b):
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    path_a.write_text(json.dumps(_recording()))
+    path_b.write_text(json.dumps(recs_b))
+    return cli_outputs.main(["--compare", str(path_a), str(path_b)])
+
+
+def _json_job(change):
+    recs = _recording()
+    out = copy.deepcopy(_JSON_OUT)
+    change(out)
+    recs[0]["stdout"] = json.dumps(out) + "\n"
+    return recs
+
+
+def _csv_job(stdout):
+    recs = _recording()
+    recs[1]["stdout"] = stdout
+    return recs
+
+
+def test_identical_recordings_exit_0(tmp_path, capsys):
+    assert _compare(tmp_path, _recording()) == 0
+    out = capsys.readouterr().out
+    assert "2 jobs, 2 identical" in out
+    assert "DIFFERS" not in out
+
+
+@pytest.mark.parametrize(
+    "recs_b, key, moved",
+    [
+        (_json_job(lambda out: out["results"]["torsion"].update(re=0.41 + 1e-15)), "results.torsion.re", "1/1"),
+        (_json_job(lambda out: out["checks"][0].update(residual=3e-15)), "checks[trs_log_ratio].residual", "1/1"),
+        (_csv_job(_CSV_OUT.replace("0.7,0.0,1.618", "0.7,0.0,1.6180000000000003")), "rows[].t_abs", "1/2"),
+    ],
+)
+def test_moved_number_exits_0_and_is_listed(tmp_path, capsys, recs_b, key, moved):
+    assert _compare(tmp_path, recs_b) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "2 jobs, 1 identical" in lines
+    assert [line.split()[:2] for line in lines if line.startswith(key + " ")] == [[key, moved]]
+
+
+def test_changed_row_status_exits_1(tmp_path, capsys):
+    assert _compare(tmp_path, _csv_job(_CSV_OUT.replace("0.7,0.0,1.618,ok", "0.7,0.0,,NonAcyclic"))) == 1
+    assert "DIFFERS scan_grid seed 1 slot 1 (scan): rows[].status 'ok' -> 'NonAcyclic'" in capsys.readouterr().out
+
+
+def test_changed_check_pass_exits_1(tmp_path, capsys):
+    assert _compare(tmp_path, _json_job(lambda out: out["checks"][0].update({"pass": False}))) == 1
+    assert "checks[trs_log_ratio].pass True -> False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda recs: recs[0].update(exit=1), "exit differs"),
+        (lambda recs: recs[0].update(stdout=json.dumps({**_JSON_OUT, "results": {}}) + "\n"), "output structure differs"),
+        (lambda recs: recs[1].update(stdout=_CSV_OUT + "0.9,0.0,0.618,ok\n"), "output structure differs"),
+        (lambda recs: recs.pop(), "2 jobs against 1"),
+    ],
+)
+def test_changed_exit_code_or_structure_exits_1(tmp_path, capsys, change, message):
+    recs = _recording()
+    change(recs)
+    assert _compare(tmp_path, recs) == 1
+    assert message in capsys.readouterr().out
