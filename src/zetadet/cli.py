@@ -166,7 +166,11 @@ def _build_spectrum(model: dict) -> Spectrum:
         for e in evs:
             if not isinstance(e, dict):
                 _fail("bad-model", "eigenvalues are {re, im[, multiplicity]} objects")
-            v = _as_complex({k: e[k] for k in ("re", "im") if k in e}, "eigenvalue")
+            unknown = e.keys() - {"re", "im", "multiplicity"}
+            if unknown:
+                _fail("bad-model", f"unknown eigenvalue keys: {sorted(unknown)}")
+            re = _as_real(e.get("re", 0.0), "bad-complex", "eigenvalue: re")
+            v = complex(re, _as_real(e.get("im", 0.0), "bad-complex", "eigenvalue: im"))
             pairs.append(Eigenvalue(v, _as_int(e.get("multiplicity", 1), "bad-model", "multiplicity", 1)))
         return Finite(tuple(pairs))
     if kind == "lattice":

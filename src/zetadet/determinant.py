@@ -25,6 +25,7 @@ from .spectrum import (
     GradedSpectrum,
     Spectrum,
     certify_agmon,
+    decompose,
     imaginary_axis_counts,
     is_symmetric_about_real_axis,
     negate_spectrum,
@@ -128,12 +129,13 @@ def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
         for d in spec.tail_directions():
             if sector.contains_direction(d):
                 raise HypothesisViolatedError(sector, f"tail near {d}")
-    # one pass: a finite spectrum is enumerated once for both sectors
+    # one pass and one phase per point: both sectors test the same direction
     bounds = (-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)
     for v, m in spec.points_near(bounds):
-        if m > 0:
+        if m > 0 and v != 0:
+            d = phase(v)
             for sector in sectors:
-                if sector.contains(v):
+                if sector.contains_direction(d):
                     raise HypothesisViolatedError(sector, v)
 
 
@@ -145,12 +147,17 @@ def _cut_in_range(theta, caller: str) -> CutAngle:
 
 
 def _square_side(spec: Spectrum, cut: CutAngle, tol: Tolerances):
-    """zeta'_{2theta}(0, D^2), eta(D) and zeta_{2theta}(0, D^2): the side built from D^2."""
+    """zeta'_{2theta}(0, D^2), eta(D) and zeta_{2theta}(0, D^2): the side built from D^2.
+
+    D^2 is certified once.  Without lattice families zeta(0) is the multiplicity
+    count, summed as the evaluator sums m * lambda^0, signed zeros included."""
     square = square_spectrum(spec, tol)
     cut2 = cut.doubled()
     dz_sq = zeta_ds_at_zero(square, cut2, tol=tol)
     eta = eta_invariant(spec, tol)
-    z0 = spectral_zeta(square, cut2, 0.0, tol=tol).value
+    families, points = decompose(square)
+    z0 = (spectral_zeta(square, cut2, 0.0, tol=tol).value if families
+          else complex(sum(float(m) for _, m in points)))
     return dz_sq, eta, z0
 
 
@@ -305,7 +312,8 @@ def verify_spectrum(
 
     The range and sector checks, LDet_theta(D), the square side and the
     symmetry test are computed once.  Errors come as from the three verifiers
-    run in that order.
+    run in that order.  A finite eigenvalue gets three ``log_cut``s and Agmon
+    tests (D at theta and theta - pi, D^2 at 2*theta) and one sector phase.
     """
     cut = _cut_in_range(theta, "verify_det_eta")
     _check_hypothesis_sectors(spec, cut.normalized)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .complexcut import CutAngle, ang_dist, as_cut, phase
@@ -30,13 +30,20 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, NotAgmonError
 
 _PI = math.pi
+_KEY_DIGITS = 12  # the digits of the keys a Finite keeps
 
 
-def merge_key(z: complex, sig_digits: int = 12) -> Tuple[str, str]:
+def merge_key(z: complex, sig_digits: int = _KEY_DIGITS) -> Tuple[str, str]:
     """Comparison key: both components rounded to ``sig_digits`` significant digits."""
     re = z.real + 0.0
     im = z.imag + 0.0
     return (f"{re:.{sig_digits}g}", f"{im:.{sig_digits}g}")
+
+
+def _conjugate_key(key: Tuple[str, str]) -> Tuple[str, str]:
+    """``merge_key(z.conjugate())`` from ``merge_key(z)``; "0" and "nan" carry no sign."""
+    re, im = key
+    return re, im[1:] if im[0] == "-" else im if im in ("0", "nan") else "-" + im
 
 
 def dist_to_integers(a: complex) -> float:
@@ -119,14 +126,18 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class Finite(Spectrum):
-    eigenvalues: Tuple[Eigenvalue, ...]
+    """Distinct eigenvalues; ``keys``: their 12-digit ``merge_key``s, given as ``merge_keys`` or formatted."""
 
-    def __post_init__(self):
+    eigenvalues: Tuple[Eigenvalue, ...]
+    merge_keys: InitVar[Tuple[Tuple[str, str], ...] | None] = None
+
+    def __post_init__(self, merge_keys):
         evs = tuple(
             e if isinstance(e, Eigenvalue) else Eigenvalue(*e) for e in self.eigenvalues
         )
         object.__setattr__(self, "eigenvalues", evs)
-        keys = [merge_key(e.value) for e in evs]
+        keys = tuple(merge_key(e.value) for e in evs) if merge_keys is None else merge_keys
+        object.__setattr__(self, "keys", keys)
         if len(set(keys)) != len(keys):
             raise ValueError("finite spectra carry distinct eigenvalues")
 
@@ -452,15 +463,18 @@ def is_symmetric_about_real_axis(
     """True iff conj(lambda) occurs with the same multiplicity as lambda.
 
     The decomposition must equal its conjugate: families by their canonical
-    key, signed point multiplicities by ``merge_key``.
+    key, signed point multiplicities by ``merge_key`` (a ``Finite``'s own at 12
+    digits), the conjugate's key derived from the point's.
     """
     families, points = decompose(spec)
     sig = tol.merge_significant_digits
+    own = isinstance(spec, Finite) and sig == _KEY_DIGITS
+    keys = spec.keys if own else [merge_key(v, sig) for v, _ in points]
 
     def tally(conj: bool) -> dict:
         counts: dict = {}
         keyed = [(_family_key(f, tol, conj), f.mu) for f in families]
-        keyed += [(merge_key(v.conjugate() if conj else v, sig), m) for v, m in points]
+        keyed += [(_conjugate_key(k) if conj else k, m) for k, (_, m) in zip(keys, points)]
         for k, m in keyed:
             counts[k] = counts.get(k, 0) + m
         return {k: m for k, m in counts.items() if m}
@@ -501,7 +515,9 @@ def _map_spectrum(spec: Spectrum, verb: str, finite, lattice) -> Spectrum:
 def square_spectrum(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigenvalues squared; coinciding squares merge by summing multiplicities.
 
-    A lattice is refused when its eigenvalue nearest 0, a - round(Re a), squares to 0.
+    Squares merge by ``merge_key`` at ``tol.merge_significant_digits``, at 12
+    digits the square's own keys.  A lattice is refused when its eigenvalue
+    nearest 0, a - round(Re a), squares to 0.
     """
 
     def finite(spec: Finite) -> Finite:
@@ -509,7 +525,8 @@ def square_spectrum(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Spe
         for v, m in spec.items():
             sq = _square(v)
             acc.setdefault(merge_key(sq, tol.merge_significant_digits), [sq, 0])[1] += m
-        return Finite(tuple(Eigenvalue(v, m) for v, m in acc.values()))
+        keys = tuple(acc) if tol.merge_significant_digits == _KEY_DIGITS else None
+        return Finite(tuple(Eigenvalue(v, m) for v, m in acc.values()), keys)
 
     def lattice(f: Lattice):
         _square(f.a - round(f.a.real))

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -150,6 +151,39 @@ class TestCommands:
             "det_eta_identity", "det_eta_identity_upper", "symmetric_factorization",
         ]
         assert len(calls) == 1
+
+    def test_verify_touches_each_eigenvalue_a_fixed_number_of_times(self, monkeypatch):
+        import zetadet.determinant as determinant
+        import zetadet.spectrum as spectrum
+        import zetadet.zetafun as zetafun
+
+        counts = {"certify_agmon": 0, "merge_key": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spectrum, "merge_key", counted("merge_key", spectrum.merge_key))
+        certify = counted("certify_agmon", spectrum.certify_agmon)
+        for module in (spectrum, zetafun, determinant):
+            monkeypatch.setattr(module, "certify_agmon", certify)
+        monkeypatch.setattr(zetafun, "pow_cut", lambda *args: pytest.fail("pow_cut called"))
+        # ten conjugate pairs, half of them in the left half-plane, clear of both sectors
+        values = []
+        for k in range(10):
+            v = (1.0 + 0.3 * k) * cmath.exp(1j * (0.1 + 0.09 * (k % 5)))
+            v = -v if k >= 5 else v
+            values += [v, v.conjugate()]
+        model = {"type": "finite", "eigenvalues": [{"re": v.real, "im": v.imag} for v in values]}
+        res = run(_job("verify", model, theta=-PI / 4))
+        assert [c["name"] for c in res["checks"]] == [
+            "det_eta_identity", "det_eta_identity_upper", "symmetric_factorization",
+        ]
+        assert all(c["pass"] for c in res["checks"])
+        assert counts["certify_agmon"] == 3
+        assert counts["merge_key"] <= 2 * len(values)
 
     def test_variation_integrates_once(self, monkeypatch):
         import zetadet.circle as circle
@@ -663,6 +697,17 @@ class TestCliEntry:
         cfg.write_text(json.dumps({"command": "verify", "model": model}))
         assert main(["verify", "--config", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad-model"
+
+    def test_unknown_eigenvalue_key_refused(self, tmp_path, capsys):
+        # a misspelt multiplicity must not pass as multiplicity 1
+        model = {"type": "finite", "eigenvalues": [
+            {"re": 1, "im": 0.5, "multiplicty": 2}, {"re": 1, "im": -0.5},
+        ]}
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"command": "verify", "model": model}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"code": "bad-model", "message": "unknown eigenvalue keys: ['multiplicty']"}
 
     @pytest.mark.parametrize(
         "job",

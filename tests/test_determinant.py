@@ -29,8 +29,11 @@ from zetadet import (
     verify_spectrum,
     zeta_at_zero,
 )
-from zetadet.complexcut import Sector, phase
-from zetadet.determinant import _check_hypothesis_sectors
+from zetadet.complexcut import Sector, as_cut, phase
+from zetadet.config import DEFAULT_TOLERANCES
+from zetadet.determinant import _check_hypothesis_sectors, _factorization, _identity
+from zetadet.spectrum import square_spectrum
+from zetadet.zetafun import eta_invariant, spectral_zeta, zeta_ds_at_zero
 
 from helpers import (
     brute_is_agmon,
@@ -186,6 +189,12 @@ class TestVerifySpectrum:
             assert sym == symmetric_spectrum_det(spec, theta)
         else:
             assert sym is None
+        # zeta_{2theta}(0, D^2) is the evaluator's value, signed zeros included
+        z0 = spectral_zeta(square_spectrum(spec), as_cut(theta).doubled(), 0.0).value
+        for got in (lower.zeta_zero_square, upper.zeta_zero_square):
+            assert got == z0
+            assert math.copysign(1, got.real) == math.copysign(1, z0.real)
+            assert math.copysign(1, got.imag) == math.copysign(1, z0.imag)
         return sym is not None
 
     def test_det_eta_suite(self):
@@ -208,6 +217,10 @@ class TestVerifySpectrum:
             (Finite.of(cmath.exp(-1.3j)), -PI / 4, HypothesisViolatedError),
             # beside the upper cut: D^2 fails its certificate before LDet_{theta-pi}
             (Finite.of(2 * cmath.exp(1j * (0.75 * PI + 3e-10))), -PI / 4, NotAgmonError),
+            # not Agmon just above the cut, but outside both sectors: the later
+            # eigenvalue inside a sector is reported first
+            (Finite.of(2 * cmath.exp(1j * (-PI / 4 + 5e-10)), 3, cmath.exp(-1.3j)), -PI / 4,
+             HypothesisViolatedError),
         ],
     )
     def test_raises_what_the_lower_verifier_raises(self, spec, theta, error):
@@ -216,6 +229,30 @@ class TestVerifySpectrum:
         with pytest.raises(error) as lower:
             verify_det_eta(spec, theta)
         assert str(one_pass.value) == str(lower.value)
+
+    def test_merge_digit_override(self):
+        # the squares 1 and 1 + 2e-8 merge at 6 digits but not at 12; the
+        # conjugate pair is one at 6 digits only
+        spec = Finite.of(1, -(1 + 1e-8), 1 + 0.5j, 1 - (0.5 + 1e-11) * 1j)
+        tol = DEFAULT_TOLERANCES.with_overrides(merge_significant_digits=6)
+        lower, upper, sym = verify_spectrum(spec, -PI / 4, tol)
+        # the square side as built before the shortcuts, from D^2 at 2*theta
+        square = square_spectrum(spec, tol)
+        assert square.items()[0] == (1 + 0j, 2)
+        cut2 = as_cut(-PI / 4).doubled()
+        side = (
+            zeta_ds_at_zero(square, cut2, tol),
+            eta_invariant(spec, tol),
+            spectral_zeta(square, cut2, 0.0, tol).value,
+        )
+        base = ldet(spec, -PI / 4, tol)
+        assert lower == _identity(base.ldet, side)
+        assert upper == _identity(-zeta_ds_at_zero(spec, CutAngle(-PI / 4).shifted(-PI), tol), side, upper=True)
+        assert sym == _factorization(spec, base, side, tol)
+        assert is_symmetric_about_real_axis(spec, tol)
+        # at the default 12 digits nothing merges and the spectrum is not symmetric
+        assert verify_spectrum(spec, -PI / 4)[2] is None
+        assert self._agrees(spec, -PI / 4) is False
 
 
 class TestAngleShift:

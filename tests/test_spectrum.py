@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -24,7 +25,7 @@ from zetadet import (
 )
 from zetadet.complexcut import ang_dist
 from zetadet.config import DEFAULT_TOLERANCES
-from zetadet.spectrum import merge_key
+from zetadet.spectrum import _conjugate_key, merge_key
 
 from helpers import brute_is_agmon, clear_radius
 
@@ -258,6 +259,53 @@ class TestSymmetry:
         spec = DirectSum((Lattice(0.3 + 0.2j), Lattice(0.3 - 0.2j), QuadLattice(0.25)))
         assert is_symmetric_about_real_axis(spec)
         assert not is_symmetric_about_real_axis(DirectSum(spec.parts[1:]))
+
+
+class TestKeys:
+    """A Finite's merge keys, and the conjugate key derived from a key."""
+
+    # zero and signed-zero imaginary parts, subnormals, values that round at
+    # the 12th digit, and the non-finite components
+    VALUES = [
+        0j, complex(1.5, 0.0), complex(1.5, -0.0), complex(-0.0, -0.0), complex(-2.0, 0.0),
+        5e-324j, -5e-324j, -1e-300j, 1 + 1e-300j, complex(0.3, 0.1234567890125),
+        complex(1.0, -0.9999999999995), complex(2.0, 9.9999999999995),
+        complex(1.0, 123456789012.5), complex(-7.0, -0.00012345678901249),
+        complex(1.0, math.inf), complex(1.0, -math.inf), complex(1.0, math.nan),
+    ]
+
+    @pytest.mark.parametrize("sig", [1, 6, 12, 17])
+    def test_conjugate_key_is_the_conjugates_key(self, sig):
+        rng = random.Random(sig)
+        values = self.VALUES + [
+            complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) * 10.0 ** rng.randint(-320, 300)
+            for _ in range(500)
+        ]
+        for z in values:
+            assert _conjugate_key(merge_key(z, sig)) == merge_key(z.conjugate(), sig), z
+
+    def test_finite_keeps_its_keys(self):
+        spec = Finite.of(*self.VALUES[2:3], *self.VALUES[4:14])
+        assert spec.keys == tuple(merge_key(e.value) for e in spec.eigenvalues)
+        sq = square_spectrum(Finite.of(1, -1, 2 + 1j, 2 - 1j))
+        assert sq.keys == tuple(merge_key(e.value) for e in sq.eigenvalues)
+        # a copy with other eigenvalues formats its own keys
+        assert dataclasses.replace(sq, eigenvalues=sq.eigenvalues[1:]).keys == sq.keys[1:]
+
+    def test_keys_follow_the_merge_digits(self):
+        # the squares 1 and 1 + 2e-8 merge at 6 digits but not at 12; the
+        # conjugate pair is one at 6 digits only
+        spec = Finite.of(1, -(1 + 1e-8), 1 + 0.5j, 1 - (0.5 + 1e-11) * 1j)
+        tol6 = DEFAULT_TOLERANCES.with_overrides(merge_significant_digits=6)
+        sq = square_spectrum(spec, tol6)
+        assert sq.items() == ((1 + 0j, 2), ((1 + 0.5j) ** 2, 1), ((1 - (0.5 + 1e-11) * 1j) ** 2, 1))
+        assert sq.keys == tuple(merge_key(e.value) for e in sq.eigenvalues)
+        assert len(square_spectrum(spec).eigenvalues) == 4
+        assert is_symmetric_about_real_axis(spec, tol6)
+        assert not is_symmetric_about_real_axis(spec)
+        # the same spectrum through the general path: no Finite keys to reuse
+        assert is_symmetric_about_real_axis(DirectSum((spec,)), tol6)
+        assert not is_symmetric_about_real_axis(DirectSum((spec,)))
 
 
 class TestSquare:
