@@ -15,7 +15,6 @@ from .errors import DomainError
 @dataclass(frozen=True)
 class Tolerances:
     # branch selection
-    on_cut_angle: float = 0.0          # angular half-width treated as "on the cut"
     agmon_epsilon: float = 1e-9        # default spectrum-free half-angle certified
     # spectrum classification
     imag_axis: float = 1e-12           # |Re| below this counts as purely imaginary

@@ -19,6 +19,7 @@ under squaring or negation.  All spectra are immutable; operations are pure.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import sys
@@ -486,6 +487,8 @@ def _square(v: complex) -> complex:
     sq = v * v
     if sq == 0:
         raise DomainError(f"the square of eigenvalue {v} underflows to 0")
+    if not cmath.isfinite(sq):
+        raise DomainError(f"the square of eigenvalue {v} overflows the float range")
     return sq
 
 

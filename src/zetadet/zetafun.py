@@ -1,19 +1,19 @@
 """Spectral zeta and eta functions via analytic continuation.
 
-Finite spectra are summed exactly.  Each lattice family ({a + n}, its squares
-{(a + n)^2} and the Hermitian {|a + n|^2}) has a layout, the pair
-``(head, groups)``: head segments ``(sign, points)`` near the origin, summed
-with exact cut branches, and tail groups ``(sign, k, (w, ...))`` of far tails
-with constant winding.  The Hurwitz scale is the family's growth order, 1 for
-{a + n} and 2 for the squared families, and v^2 is the squared Im a of the
-Hermitian family and 0 otherwise.  One evaluator gives every family's zeta(s),
-with its error estimate, as
+One evaluator sums every part of ``spectrum.decompose(spec)``: a head of
+``(point, weight)`` pairs near the origin, summed with exact cut branches,
+and tail groups ``(sign, k, (w, ...))`` of far tails with constant winding.
+A lattice family ({a + n}, its squares {(a + n)^2}, the Hermitian {|a + n|^2})
+is its layout, head points at weight m = 1, scaled by its mu; the finite points
+are one more head, weighted by their multiplicities, with no tails and no mu.
+The Hurwitz scale is the growth order, 1 for {a + n} and 2 for the squares,
+and v^2 is (Im a)^2 for the Hermitian family and 0 otherwise.  zeta(s) is
 
-    sum sign * lambda^{-s} + sum sign * exp(-i*pi*k*s) * sum_w T(s, w),
+    sum m * lambda^{-s} + sum sign * exp(-i*pi*k*s) * sum_w T(s, w),
     T(s, w) = sum_j binom(-s, j) * v^(2j) * zeta_H(scale*s + 2j, w),
 
-and zeta'(0) exactly, from ``zeta_H(0, w) = 1/2 - w`` and
-``zeta_H'(0, w) = log Gamma(w) - log(2*pi)/2``.  With N the Euler-Maclaurin
+with its error estimate, and zeta'(0) is exact, from ``zeta_H(0, w) = 1/2 - w``
+and ``zeta_H'(0, w) = log Gamma(w) - log(2*pi)/2``.  With N the Euler-Maclaurin
 shift length of zeta_H(scale*s, w), the shifts k < N - 1 of the rungs j >= 1
 sum over j in closed form,
 
@@ -22,14 +22,18 @@ sum over j in closed form,
 
 with x_k = v^2 / (w + k)^2 (for T'(0, w) the middle sum is -sum log1p(x_k)),
 so every rung keeps its remainder at w + N and the series converges at the
-ratio v^2 / (w + N - 1)^2.  The eta function of {a + n} evaluates its layout
-with the left points negated and sign -1.
+ratio v^2 / (w + N - 1)^2.  eta applies one sign rule to the finite points and
+to the head of {a + n}: weight m for Re > 0, the point negated at weight -m for
+Re < 0, the imaginary axis left out; the left tail of {a + n} is negated onto
+the tail at 0 with sign -1.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .complexcut import TAU, CutAngle, ang_dist, as_cut, log_cut, pow_cut
@@ -106,7 +110,7 @@ def _tail_buffer(q: complex, gap: float, halve: bool = False) -> int:
 
 
 # ---------------------------------------------------------------------------
-# layouts: each lattice family as head points plus Hurwitz tail groups
+# layouts: each lattice family as a head of (point, weight) pairs plus Hurwitz tail groups
 
 
 def _lattice(f: Lattice, cut: CutAngle) -> tuple:
@@ -116,21 +120,30 @@ def _lattice(f: Lattice, cut: CutAngle) -> tuple:
     th = cut.normalized
     buf_r = _tail_buffer(atil, ang_dist(th, 0.0))
     buf_l = _tail_buffer(qm, ang_dist(th, _PI))
-    head = ((1, [atil + m for m in range(buf_r)] + [-(qm + m) for m in range(buf_l)]),)
+    head = [(atil + m, 1) for m in range(buf_r)] + [(-(qm + m), 1) for m in range(buf_l)]
     k_r, k_l = 2 * _tail_winding(0.0, th), 2 * _tail_winding(_PI, th) + 1
     return head, ((1, k_r, (atil + buf_r,)), (1, k_l, (qm + buf_l,)))
 
 
+def _eta_signed(points, tol: Tolerances) -> list:
+    """eta's sign rule: (v, m) for Re v > 0, (-v, -m) for Re v < 0; the imaginary axis left out."""
+    signed = []
+    for v, m in points:
+        if v.real > tol.imag_axis:
+            signed.append((v, m))
+        elif v.real < -tol.imag_axis:
+            signed.append((-v, -m))
+    return signed
+
+
 def _lattice_eta(f: Lattice, cut: CutAngle, tol: Tolerances) -> tuple:
-    """{a + n} for eta: left points negated, with sign -1; imaginary-axis points left out."""
+    """{a + n} for eta: the sign rule on the head; the left tail negated onto the tail at 0."""
     atil, _ = _normalize_log_param(f.a)
     qm = 1.0 - atil
     th = cut.normalized
     gap = ang_dist(th, 0.0)
     buf_r, buf_l = _tail_buffer(atil, gap), _tail_buffer(qm, gap)
-    skip_r = 1 if atil.real <= tol.imag_axis else 0
-    skip_l = 1 if qm.real <= tol.imag_axis else 0
-    head = ((1, [atil + m for m in range(skip_r, buf_r)]), (-1, [qm + m for m in range(skip_l, buf_l)]))
+    head = _eta_signed([(atil + m, 1) for m in range(buf_r)] + [(-(qm + m), 1) for m in range(buf_l)], tol)
     k = 2 * _tail_winding(0.0, th)
     return head, ((1, k, (atil + buf_r,)), (-1, k, (qm + buf_l,)))
 
@@ -142,21 +155,21 @@ def _quad(f: QuadLattice, cut: CutAngle) -> tuple:
     th = cut.normalized
     gap = ang_dist(th, 0.0)
     buf_r, buf_l = _tail_buffer(atil, gap, halve=True), _tail_buffer(qm, gap, halve=True)
-    head = ((1, [(atil + m) ** 2 for m in range(buf_r)] + [(qm + m) ** 2 for m in range(buf_l)]),)
+    head = [((atil + m) ** 2, 1) for m in range(buf_r)] + [((qm + m) ** 2, 1) for m in range(buf_l)]
     return head, ((1, 2 * _tail_winding(0.0, th), (atil + buf_r, qm + buf_l)),)
 
 
 def _herm(f: HermQuadLattice, cut: CutAngle) -> tuple:
     """{|a + n|^2}: the squares of Re a + n, offset by v^2 = (Im a)^2."""
     atil, _ = _normalize_log_param(f.a)
-    points, ws = [], []
+    head, ws = [], []
     for q in (atil, 1.0 - atil):
         # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
         buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
-        points += [abs(q + m) ** 2 for m in range(buf)]
+        head += [(abs(q + m) ** 2, 1) for m in range(buf)]
         ws.append(q.real + buf)
     k = 2 * _tail_winding(0.0, cut.normalized)
-    return ((1, points),), ((1, k, tuple(ws)),)
+    return head, ((1, k, tuple(ws)),)
 
 
 _LAYOUTS = {Lattice: _lattice, QuadLattice: _quad, HermQuadLattice: _herm}
@@ -208,13 +221,8 @@ def _tail(scale: int, v2: float, w, s, errs: list) -> complex:
     return total
 
 
-def _evaluate(f: Spectrum, cut: CutAngle, tol: Tolerances, s=None, eta: bool = False):
-    """(zeta(s), error) of a family from its layout; zeta'(0) when s is None.
-
-    zeta(s) = sum sign*pow_cut(head) + sum sign*exp(-i*pi*k*s)*sum_w T(s, w);
-    zeta'(0) = -sum sign*log_cut(head) + sum sign*(-i*pi*k*sum_w (1/2 - w)
-    + sum_w T'(0, w)), from zeta_H(0, w) = 1/2 - w.  With ``eta``, eta(s).
-    """
+def _family(f: Spectrum, cut: CutAngle, tol: Tolerances, s, eta: bool) -> tuple:
+    """(scale, v^2, head, tail groups) of a lattice family, refused at a pole; eta's with ``eta``."""
     if eta:
         f = _eta_family(f)
     # the Hurwitz scale is the family's growth order; v^2 offsets the Hermitian squares
@@ -226,28 +234,48 @@ def _evaluate(f: Spectrum, cut: CutAngle, tol: Tolerances, s=None, eta: bool = F
         if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v2 > 0.0):
             raise PoleError(s.real, f"pole at s={s.real:.17g}")
     head, groups = _lattice_eta(f, cut, tol) if eta else _LAYOUTS[type(f)](f, cut)
-    on_cut = tol.on_cut_angle
-    errs: list = []
-    total = 0.0 + 0.0j
-    for sign, points in head:
-        part = 0.0 + 0.0j
+    return scale, v2, head, groups
+
+
+def _evaluate(spec: Spectrum, cut: CutAngle, tol: Tolerances, s=None, eta: bool = False):
+    """(zeta(s), error) of ``spec``, summed over ``decompose(spec)``; zeta'(0) when s is None.
+
+    Every part takes sum m*pow_cut(head), or -sum m*log_cut(head) and, from
+    zeta_H(0, w) = 1/2 - w, -i*pi*k*sum_w (1/2 - w) per tail group.  A family's
+    part is scaled by its mu; the finite points come last, left out when there
+    are families but no points.  With ``eta``, eta(s).  The log sum is negated
+    once and the parts add from the first, so a lone finite part keeps
+    -sum(m*log) bit for bit, signed zeros included.
+    """
+    families, points = decompose(spec)
+    if eta:
+        points = _eta_signed(points, tol)
+    value = err = None
+    for f in families + (None,) if points or not families else families:
+        scale, v2, head, groups = (0, 0.0, points, ()) if f is None else _family(f, cut, tol, s, eta)
+        total = 0.0 + 0.0j
         if s is None:
-            for v in points:
-                part -= log_cut(v, cut, on_cut)
+            for v, m in head:
+                total += m * log_cut(v, cut)
+            total = -total
         else:
-            for v in points:
-                part += pow_cut(v, s, cut, on_cut)
-        total += sign * part
-    for sign, k, ws in groups:
-        tails = 0.0
-        for w in ws:
-            tails += _tail(scale, v2, w, s, errs)
-            if s is None:
-                tails += -1j * _PI * k * (0.5 - w)
-        if s is not None:
-            tails *= cmath.exp(-1j * _PI * k * s)
-        total += sign * tails
-    return f.mu * total, f.mu * sum(errs)
+            for v, m in head:
+                total += m * pow_cut(v, s, cut)
+        errs: list = []
+        for sign, k, ws in groups:
+            tails = 0.0
+            for w in ws:
+                tails += _tail(scale, v2, w, s, errs)
+                if s is None:
+                    tails += -1j * _PI * k * (0.5 - w)
+            if s is not None:
+                tails *= cmath.exp(-1j * _PI * k * s)
+            total += sign * tails
+        part_err = 0.0
+        if f is not None:
+            total, part_err = f.mu * total, f.mu * sum(errs)
+        value, err = (total, part_err) if value is None else (value + total, err + part_err)
+    return value, err
 
 
 def _eta_family(f: Spectrum) -> Lattice:
@@ -263,44 +291,6 @@ def _lat_eta0(f: Lattice, tol: Tolerances) -> complex:
     return f.mu * (1.0 - 2.0 * atil - skip_r + skip_l)
 
 
-# ---------------------------------------------------------------------------
-# assembly over the decomposition: families plus finite points
-
-
-def _assemble(spec: Spectrum, family, points):
-    """Sum of ``family(f)`` over the families and ``points(pts)``.
-
-    Every term is a (value, error) pair; the points term is left out when the
-    spectrum has families but no points.  The sum starts from the first term,
-    not from zero, so a lone family or a finite spectrum keeps its value bit
-    for bit, signed zeros included.
-    """
-    families, pts = decompose(spec)
-    terms = [family(f) for f in families]
-    if pts or not terms:
-        terms.append(points(pts))
-    value, err = terms[0]
-    for v, e in terms[1:]:
-        value += v
-        err += e
-    return value, err
-
-
-def _zeta_value(spec: Spectrum, cut: CutAngle, s, tol: Tolerances):
-    def points(pts):
-        total = sum(m * pow_cut(v, s, cut, tol.on_cut_angle) for v, m in pts)
-        return complex(total), 0.0
-
-    return _assemble(spec, lambda f: _evaluate(f, cut, tol, s), points)
-
-
-def _dzeta0_value(spec: Spectrum, cut: CutAngle, tol: Tolerances) -> complex:
-    def points(pts):
-        return -sum(m * log_cut(v, cut, tol.on_cut_angle) for v, m in pts), 0.0
-
-    return _assemble(spec, lambda f: _evaluate(f, cut, tol), points)[0]
-
-
 def spectral_zeta(
     spec: Spectrum, theta, s, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ZetaResult:
@@ -308,7 +298,7 @@ def spectral_zeta(
     cut = as_cut(theta)
     certify_agmon(spec, cut, tol.agmon_epsilon)
     try:
-        value, err = _zeta_value(spec, cut, complex(s), tol)
+        value, err = _evaluate(spec, cut, tol, complex(s))
     except OverflowError:
         raise OverflowError(f"spectral zeta of {spec} at s={complex(s)} overflows the float range") from None
     return ZetaResult(value, err)
@@ -327,24 +317,11 @@ def zeta_ds_at_zero(
     """zeta_theta'(0, D), assembled exactly (no numerical differentiation)."""
     cut = as_cut(theta)
     certify_agmon(spec, cut, tol.agmon_epsilon)
-    return _dzeta0_value(spec, cut, tol)
+    return _evaluate(spec, cut, tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # eta function and invariant
-
-
-def _eta_value(spec: Spectrum, cut: CutAngle, s, tol: Tolerances):
-    def points(pts):
-        total = 0.0 + 0.0j
-        for v, m in pts:
-            if v.real > tol.imag_axis:
-                total += m * pow_cut(v, s, cut, tol.on_cut_angle)
-            elif v.real < -tol.imag_axis:
-                total -= m * pow_cut(-v, s, cut, tol.on_cut_angle)
-        return total, 0.0
-
-    return _assemble(spec, lambda f: _evaluate(f, cut, tol, s, eta=True), points)
 
 
 def eta_function(
@@ -353,23 +330,19 @@ def eta_function(
     """Spectral asymmetry function; imaginary-axis eigenvalues are excluded."""
     cut = as_cut(theta)
     certify_agmon(spec, cut, tol.agmon_epsilon)
-    value, _ = _eta_value(spec, cut, complex(s), tol)
-    return value
+    return _evaluate(spec, cut, tol, complex(s), eta=True)[0]
 
 
 def _eta_at_zero(spec: Spectrum, tol: Tolerances) -> complex:
-    """eta_theta(0, D); branch-free, hence independent of the cut."""
+    """eta_theta(0, D); branch-free, hence independent of the cut.
 
-    def points(pts):
-        total = 0
-        for v, m in pts:
-            if v.real > tol.imag_axis:
-                total += m
-            elif v.real < -tol.imag_axis:
-                total -= m
-        return complex(total), 0.0
-
-    return _assemble(spec, lambda f: (_lat_eta0(_eta_family(f), tol), 0.0), points)[0]
+    Families give the closed form, the points their signed count; summed from the first.
+    """
+    families, points = decompose(spec)
+    terms = [_lat_eta0(_eta_family(f), tol) for f in families]
+    if points or not terms:
+        terms.append(complex(sum(m for _, m in _eta_signed(points, tol))))
+    return functools.reduce(operator.add, terms)
 
 
 def eta_invariant(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:

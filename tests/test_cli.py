@@ -825,6 +825,11 @@ class TestCliEntry:
                 [], "bad-tolerances", ("kernel_accuracy",), id="unread-tolerance-field",
             ),
             pytest.param(
+                {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}},
+                 "tolerances": {"on_cut_angle": 0.0}},
+                [], "bad-tolerances", ("on_cut_angle",), id="removed-on-cut-angle",
+            ),
+            pytest.param(
                 {"command": "det", "model": {"type": "finite", "eigenvalues": [{"re": 2.0, "multiplicity": 10**400}]}},
                 [], "bad-value", ("multiplicity", "float range"), id="det-huge-multiplicity",
             ),
@@ -912,6 +917,23 @@ class TestCliEntry:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["code"] == "Domain"
         assert "underflows" in error["message"]
+
+    @pytest.mark.parametrize(
+        "eigenvalue, shown",
+        [
+            pytest.param({"re": 1e308, "im": 1e308}, "(1e+308+1e+308j)", id="nan-square"),
+            pytest.param({"re": 1e200}, "(1e+200+0j)", id="infinite-square"),
+        ],
+    )
+    def test_huge_eigenvalue_refused_as_overflow(self, monkeypatch, capsys, eigenvalue, shown):
+        job = {"command": "verify", "model": {"type": "finite", "eigenvalues": [eigenvalue]}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["verify", "--config", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "Domain"
+        assert shown in error["message"] and "overflows" in error["message"], error["message"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,8 +1,10 @@
-"""``tools/cli_outputs.py --compare`` on small hand-built recordings."""
+"""``tools/cli_outputs.py``: its edge jobs, and ``--compare`` on small hand-built recordings."""
 
 import copy
 import importlib.util
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,31 @@ def test_changed_exit_code_or_structure_exits_1(tmp_path, capsys, change, messag
     change(recs)
     assert _compare(tmp_path, recs) == 1
     assert message in capsys.readouterr().out
+
+
+def _floats(node):
+    if isinstance(node, dict):
+        for v in node.values():
+            yield from _floats(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _floats(v)
+    elif isinstance(node, float):
+        yield node
+
+
+def test_edge_jobs_are_recorded_with_positive_zeros(tmp_path, monkeypatch):
+    # only the edge jobs: the seeded rounds take seconds
+    monkeypatch.setattr(cli_outputs, "SEEDS", ())
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "rec.json"
+    assert cli_outputs.main([str(Path(__file__).resolve().parents[1]), str(out)]) == 0
+    recs = json.loads(out.read_text())
+    assert [(r["workload"], r["slot"], r["argv"][0]) for r in recs] == [
+        ("edge", i, job["command"]) for i, job in enumerate(cli_outputs.EDGE_JOBS)
+    ]
+    for rec in recs:
+        assert (rec["exit"], rec["stderr"]) == (0, "")
+        # every job sums to an exact 0 somewhere; a sum that flips its sign prints -0.0
+        zeros = [x for x in _floats(json.loads(rec["stdout"])) if x == 0.0]
+        assert zeros and all(math.copysign(1.0, x) == 1.0 for x in zeros), rec["stdout"]

@@ -325,6 +325,11 @@ class TestSquare:
         with pytest.raises(DomainError, match="underflows"):
             square_spectrum(Finite.of(2 + 0.5j, 1e-200j))
 
+    @pytest.mark.parametrize("v", [1e200, -1e200 + 3j, 1e308 + 1e308j])
+    def test_overflowing_square_refused(self, v):
+        with pytest.raises(DomainError, match="overflows"):
+            square_spectrum(Finite.of(2, v))
+
     @pytest.mark.parametrize("a", [1e-200, -1e-200, 3 + 1e-200j, 1e-170 + 1e-170j])
     def test_underflowing_lattice_square_refused(self, a):
         # the eigenvalue nearest 0 is a - round(Re a); its square underflows

@@ -27,6 +27,8 @@ from zetadet import (
     zeta_at_zero,
     zeta_ds_at_zero,
 )
+from zetadet.complexcut import pow_cut
+from zetadet.config import DEFAULT_TOLERANCES
 
 from helpers import direct_hurwitz_sum
 
@@ -355,3 +357,41 @@ class TestExplicitTermCap:
             compute()
         assert time.perf_counter() - started < 2.0
 
+
+
+def _bits(z: complex) -> tuple:
+    """The exact bits of z; float.hex tells -0.0 from 0.0."""
+    return z.real.hex(), z.imag.hex()
+
+
+class TestEvaluatorBitRules:
+    """The order in which the evaluator sums, pinned bit for bit."""
+
+    def test_finite_ldet_keeps_positive_zeros(self):
+        # zeta'(0) of {1} is -sum(m * log), negated once: log_cut(1, -0.7) = 0 + 0i
+        z = ldet(Finite.of(1), -0.7).ldet
+        assert z == 0
+        assert (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("theta", [-PI / 4, -0.7, 2.0])
+    def test_direct_sum_adds_its_parts_left_to_right(self, theta):
+        lat, fin = Lattice(0.25), Finite.of(1, 2)
+        spec = DirectSum((lat, fin))
+        assert _bits(zeta_ds_at_zero(spec, theta)) == _bits(zeta_ds_at_zero(lat, theta) + zeta_ds_at_zero(fin, theta))
+        s = 0.5 + 0.3j
+        whole = spectral_zeta(spec, theta, s).value
+        assert _bits(whole) == _bits(spectral_zeta(lat, theta, s).value + spectral_zeta(fin, theta, s).value)
+
+    @pytest.mark.parametrize("theta", [-PI / 4, -0.7, 2.0])
+    @pytest.mark.parametrize("s", [0.0, 1.3, 0.5 + 0.3j, -1.5 - 2.0j])
+    def test_finite_eta_is_the_signed_sum(self, theta, s):
+        values = [2, -3, 1j, -2j, 0.5 + 0.5j, -0.7 + 0.2j, 1e-13 + 4j, -1e-13 - 1j]
+        mults = [1, 2, 3, 1, 2, 1, 5, 2]
+        expected = 0j
+        for v, m in zip(map(complex, values), mults):
+            if v.real > DEFAULT_TOLERANCES.imag_axis:
+                expected += m * pow_cut(v, s, theta)
+            elif v.real < -DEFAULT_TOLERANCES.imag_axis:
+                expected -= m * pow_cut(-v, s, theta)
+        spec = Finite.of(*values, multiplicities=mults)
+        assert _bits(eta_function(spec, theta, s)) == _bits(expected)

@@ -4,12 +4,12 @@ Usage: python tools/cli_outputs.py CHECKOUT OUT.json
        python tools/cli_outputs.py --compare A.json B.json
 
 The first form runs the jobs of ``gen.make_round(workload, seed)`` for seeds
-1-3 of every benchmark workload through ``zetadet.cli.main`` of the checkout
-at CHECKOUT (its ``src/`` and ``perfbench/gen.py``), each with its own
-``--format``, and writes per job the exit code, stdout with
-``wallTimeSeconds`` blanked, and stderr.  Two checkouts give the same file
-exactly when their CLI output agrees, so ``cmp A.json B.json`` checks byte
-identity.
+1-3 of every benchmark workload, then the fixed ``EDGE_JOBS``, through
+``zetadet.cli.main`` of the checkout at CHECKOUT (its ``src/`` and
+``perfbench/gen.py``), each with its own ``--format``, and writes per job the
+exit code, stdout with ``wallTimeSeconds`` blanked, and stderr.  Two
+checkouts give the same file exactly when their CLI output agrees, so
+``cmp A.json B.json`` checks byte identity.
 
 ``--compare`` parses the JSON and CSV stdout of both recordings and prints,
 per output key, how many numbers moved and the largest absolute and relative
@@ -31,6 +31,22 @@ import re
 import sys
 
 SEEDS = (1, 2, 3)
+
+
+def _finite(*values) -> dict:
+    return {"type": "finite", "eigenvalues": [{"re": z.real, "im": z.imag} for z in map(complex, values)]}
+
+
+# Cases the seeded rounds miss: sums that come out exactly 0, whose signed zeros
+# show in the output, and zeta at s = 0.  Recorded as workload "edge".  The
+# eigenvalue -i is complex(0.0, -1.0): the literal -1j has real part -0.0.
+EDGE_JOBS = (
+    {"schemaVersion": 1, "command": "det", "theta": -0.7, "model": _finite(1)},
+    {"schemaVersion": 1, "command": "zeta", "model": _finite(1, -1), "params": {"s": {"re": 0.0, "im": 0.0}}},
+    {"schemaVersion": 1, "command": "eta", "model": _finite(1j, complex(0.0, -1.0))},
+    {"schemaVersion": 1, "command": "verify", "model": _finite(1, -1)},
+)
+
 _WALL = re.compile(r'"wallTimeSeconds":[^,}]*')
 
 
@@ -158,6 +174,8 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             for i, job in enumerate(gen.make_round(workload, seed)):
                 records.append({"workload": workload, "seed": seed, "slot": i, **run_job(cli.main, job)})
+    for i, config in enumerate(EDGE_JOBS):
+        records.append({"workload": "edge", "seed": 0, "slot": i, **run_job(cli.main, gen.Job(config))})
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
