@@ -27,13 +27,12 @@ from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 from .complexcut import CutAngle
 from .config import (
+    ACYCLIC_DISTANCE,
     ARG_PAIRING_SIGN,
     CR_MAX_STEP,
     CR_MIN_INTEGER_DISTANCE,
-    DEFAULT_TOLERANCES,
-    MIN_FAMILY_GRID,
+    FAMILY_GRID,
     MIN_ODE_STEPS,
-    Tolerances,
 )
 from .determinant import LDetResult, ldet, pick_det_eta_cut
 from .errors import EigenFailureError, NonAcyclicError
@@ -108,26 +107,21 @@ class TrsReport:
     residual_arg_pairing: float
 
 
-def build_rank1(
-    a: complex, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CircleModel:
+def build_rank1(a: complex) -> CircleModel:
     """Rank-1 model for the connection d + i*a*dx; spectrum {a + n}."""
     a = complex(a)
     spacing = math.ulp(a.real)
-    if spacing > tol.acyclic_distance:
+    if spacing > ACYCLIC_DISTANCE:
         raise NonAcyclicError(
             f"log parameter {a}: the float spacing {spacing:.3g} at its real part exceeds "
-            f"acyclic_distance {tol.acyclic_distance:.3g}, so its distance to the integers is unresolved"
+            f"acyclic_distance {ACYCLIC_DISTANCE:.3g}, so its distance to the integers is unresolved"
         )
-    if dist_to_integers(a) <= tol.acyclic_distance:
+    if dist_to_integers(a) <= ACYCLIC_DISTANCE:
         raise NonAcyclicError(f"log parameter {a} is within tolerance of an integer")
     return CircleModel(((a, 1),))
 
 
-def build_from_monodromy(
-    m: Sequence[Sequence[complex]] | np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> CircleModel:
+def build_from_monodromy(m: Sequence[Sequence[complex]] | np.ndarray) -> CircleModel:
     """Model from a monodromy matrix: a_j = log(mu_j) / (2*pi*i), Re in (0, 1]."""
     import numpy as np
     mat = np.asarray(m, dtype=complex)
@@ -146,7 +140,7 @@ def build_from_monodromy(
             raise NonAcyclicError("monodromy matrix is singular")
         a = cmath.log(mu) / (2j * _PI)
         a, _ = _normalize_log_param(a)
-        if dist_to_integers(a) <= tol.acyclic_distance:
+        if dist_to_integers(a) <= ACYCLIC_DISTANCE:
             raise NonAcyclicError(
                 f"monodromy eigenvalue {mu} is within tolerance of 1"
             )
@@ -159,21 +153,17 @@ def build_from_monodromy(
     return CircleModel(tuple(params))
 
 
-def torsion_ldet(
-    model: CircleModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> LDetResult:
+def torsion_ldet(model: CircleModel) -> LDetResult:
     """The refined torsion alone: LDet of the even signature operator.
 
     The cut is the one ``pick_det_eta_cut`` places for the lattice spectrum;
     ``.ldet`` is the graded log-determinant and ``.det`` the torsion.
     """
     spec = model.spectrum()
-    return ldet(spec, pick_det_eta_cut(spec), tol)
+    return ldet(spec, pick_det_eta_cut(spec))
 
 
-def refined_torsion(
-    model: CircleModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> TorsionReport:
+def refined_torsion(model: CircleModel) -> TorsionReport:
     """Graded determinant of the even signature operator, with cross-checks.
 
     The torsion is exp of the graded log-determinant computed directly from
@@ -182,13 +172,13 @@ def refined_torsion(
     spectrum, and the report records the residual of graded_ldet = xi - i*pi*eta.
     """
     spec = model.spectrum()
-    base = ldet(spec, pick_det_eta_cut(spec), tol)
+    base = ldet(spec, pick_det_eta_cut(spec))
     # adding 0j turns a zero part of -0.0 into 0.0, so a real xi never prints -0.0
-    xi = -0.5 * zeta_ds_at_zero(square_spectrum(spec, tol), base.theta.doubled(), tol=tol) + 0j
-    eta = eta_invariant(spec, tol)
+    xi = -0.5 * zeta_ds_at_zero(square_spectrum(spec), base.theta.doubled()) + 0j
+    eta = eta_invariant(spec)
     residual = abs(base.ldet - (xi - 1j * _PI * eta))
 
-    trs = ray_singer_torsion(model, tol)
+    trs = ray_singer_torsion(model)
     return TorsionReport(
         torsion=base.det,
         xi=xi,
@@ -201,14 +191,12 @@ def refined_torsion(
     )
 
 
-def ray_singer_torsion(
-    model: CircleModel, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def ray_singer_torsion(model: CircleModel) -> float:
     """exp(LDet_{-pi}(Laplacian on 1-forms) / 2), a positive real number."""
     total = 0.0 + 0.0j
     cut = CutAngle(-_PI)
     for a, m in model.log_params:
-        total += -zeta_ds_at_zero(HermQuadLattice(a, m), cut, tol=tol)
+        total += -zeta_ds_at_zero(HermQuadLattice(a, m), cut)
     try:
         return math.exp(0.5 * total.real)
     except OverflowError:
@@ -238,17 +226,13 @@ def model_arg_class(model: CircleModel) -> complex:
     return complex(total.real - math.floor(total.real), total.imag)
 
 
-def trs_comparison(
-    model: CircleModel,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    report: TorsionReport | None = None,
-) -> TrsReport:
+def trs_comparison(model: CircleModel, report: TorsionReport | None = None) -> TrsReport:
     """Residuals of the torsion / Ray-Singer comparison identities.
 
     ``report`` is the model's ``refined_torsion`` when the caller has it.
     """
     if report is None:
-        report = refined_torsion(model, tol)
+        report = refined_torsion(model)
     t_abs = abs(report.torsion)
     trs = report.ray_singer
     r_log = abs(math.log(t_abs / trs) - _PI * report.im_eta)
@@ -274,22 +258,19 @@ class ConnectionFamily:
     """Connection 1-form coefficient A(x, t) on [0, 2*pi), matrix valued.
 
     ``a_form`` maps (x, t) to an n x n array; ``psi`` optionally supplies the
-    t-derivative of the family.  The sampling grid is uniform with at least
-    64 points and A must be 2*pi-periodic.  ``constant_in_x`` declares that
-    A (and so psi) does not depend on x, which lets ``monodromy`` power one
-    RK4 step and ``arg_derivative_check`` sample psi once.
+    t-derivative of the family.  A must be 2*pi-periodic.  ``constant_in_x``
+    declares that A (and so psi) does not depend on x, which lets
+    ``monodromy`` power one RK4 step and ``arg_derivative_check`` sample psi
+    once.
     """
 
     a_form: Callable[[float, float], np.ndarray]
     dim: int
     psi: Callable[[float, float], np.ndarray] | None = None
-    n_grid: int = 256
     constant_in_x: bool = False
 
     def __post_init__(self):
         import numpy as np
-        if self.n_grid < MIN_FAMILY_GRID:
-            raise ValueError(f"sampling grid needs at least {MIN_FAMILY_GRID} points")
         a0 = np.asarray(self.a_form(0.0, 0.0), dtype=complex)
         a1 = np.asarray(self.a_form(_TWO_PI, 0.0), dtype=complex)
         if a0.shape != (self.dim, self.dim):
@@ -444,9 +425,10 @@ def arg_derivative_check(
 
     The left side is the central difference of the Arg class of the
     monodromy (mod-Z aware); the right side is a trapezoid integral of the
-    trace of the family derivative, sampled once at x = 0 when the family is
-    ``constant_in_x``.  Both monodromies come from one RK4 integration of
-    the stack of t + dt and t - dt.
+    trace of the family derivative over ``config.FAMILY_GRID`` points,
+    sampled once at x = 0 when the family is ``constant_in_x``.  Both
+    monodromies come from one RK4 integration of the stack of t + dt and
+    t - dt.
     """
     import numpy as np
     if family.psi is None:
@@ -456,23 +438,18 @@ def arg_derivative_check(
     diff = arg_class(phi_p) - arg_class(phi_m)
     deriv = complex(_wrap_half(diff.real), diff.imag) / (2.0 * dt)
 
-    xs = (0.0,) if family.constant_in_x else np.linspace(0.0, _TWO_PI, family.n_grid, endpoint=False)
+    xs = (0.0,) if family.constant_in_x else np.linspace(0.0, _TWO_PI, FAMILY_GRID, endpoint=False)
     traces = np.array([family.psi(x, t) for x in xs], dtype=complex).trace(axis1=1, axis2=2)
     integral = complex(traces.mean() * _TWO_PI)
     rhs = -integral / (2j * _PI)
     return abs(deriv - rhs)
 
 
-def eta_variation_check(
-    a_path: Callable[[float], complex],
-    dt: float,
-    t: float = 0.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def eta_variation_check(a_path: Callable[[float], complex], dt: float, t: float = 0.0) -> float:
     """Residual of d/dt eta(a(t)) = -a'(t) for a rank-1 path (mod-Z aware)."""
     _check_step(dt)
     a_p, a_m = complex(a_path(t + dt)), complex(a_path(t - dt))
-    diff = eta_invariant(Lattice(a_p), tol) - eta_invariant(Lattice(a_m), tol)
+    diff = eta_invariant(Lattice(a_p)) - eta_invariant(Lattice(a_m))
     deriv = complex(_wrap_half(diff.real), diff.imag) / (2.0 * dt)
     a_rate = (a_p - a_m) / (2.0 * dt)
     return abs(deriv - (-a_rate))
@@ -507,17 +484,17 @@ class ScanRow:
     cr_residual: float
 
 
-def scan_row(a: complex, h: float, tol: Tolerances = DEFAULT_TOLERANCES) -> ScanRow:
+def scan_row(a: complex, h: float) -> ScanRow:
     """The torsion, T^RS, Im eta and ``cr_residual`` of a -> T at one point; never xi.
 
     T, eta and T^RS come in the order ``refined_torsion`` takes them, then the
     four finite-difference torsions, so a failing point names the same error.
     """
-    model = build_rank1(a, tol)
-    torsion = torsion_ldet(model, tol).det
-    im_eta = eta_invariant(model.spectrum(), tol).imag
-    t_rs = ray_singer_torsion(model, tol)
-    cr = cr_residual(lambda z: torsion_ldet(build_rank1(z, tol), tol).det, a, h)
+    model = build_rank1(a)
+    torsion = torsion_ldet(model).det
+    im_eta = eta_invariant(model.spectrum()).imag
+    t_rs = ray_singer_torsion(model)
+    cr = cr_residual(lambda z: torsion_ldet(build_rank1(z)).det, a, h)
     return ScanRow(torsion, t_rs, im_eta, cr)
 
 
@@ -533,7 +510,6 @@ def holomorphy_scan(
     im_range: Tuple[float, float],
     grid: int,
     h: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> HolomorphyReport:
     """Max ``cr_residual`` and max |T| over the ``scan_row``s of a grid x grid ``scan_points`` grid."""
     if not 0.0 < h <= CR_MAX_STEP:
@@ -544,7 +520,7 @@ def holomorphy_scan(
     for a in scan_points(re_range, im_range, grid, grid):
         if dist_to_integers(a) < CR_MIN_INTEGER_DISTANCE:
             raise NonAcyclicError(f"grid point {a} too close to an integer")
-        row = scan_row(a, h, tol)
+        row = scan_row(a, h)
         max_res = max(max_res, row.cr_residual)
         max_abs = max(max_abs, abs(row.torsion))
     return HolomorphyReport(max_res, max_abs, (grid, grid))

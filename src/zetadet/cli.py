@@ -101,12 +101,6 @@ def _as_matrix(rows, code: str, where: str) -> list[list[complex]]:
     return [[_as_complex(x, f"{where} entry") for x in row] for row in rows]
 
 
-def _as_tolerance(name: str, value):
-    if name == "merge_significant_digits":
-        return _as_int(value, "bad-tolerances", name, 1)
-    return _as_real(value, "bad-tolerances", name)
-
-
 def _c2j(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
@@ -151,7 +145,7 @@ def parse_config(raw: dict) -> JobConfig:
     if unknown:
         _fail("bad-tolerances", f"unknown tolerance fields: {sorted(unknown)}")
     tol = DEFAULT_TOLERANCES.with_overrides(
-        **{name: _as_tolerance(name, value) for name, value in overrides.items()}
+        **{name: _as_real(value, "bad-tolerances", name) for name, value in overrides.items()}
     )
     return JobConfig(command, model, theta, params, tol, raw)
 
@@ -262,11 +256,11 @@ def _scan_grid(params: dict):
     return circ.scan_points((re_lo, re_hi), (im_lo, im_hi), re_n, im_n)
 
 
-def _scan_row(a: complex, h: float, tol: Tolerances) -> dict:
+def _scan_row(a: complex, h: float) -> dict:
     """One grid point: ``circle.scan_row`` as a row, or its error's name in ``status``."""
     row: dict[str, Any] = {"a_re": a.real, "a_im": a.imag, "status": "ok"}
     try:
-        r = circ.scan_row(a, h, tol)
+        r = circ.scan_row(a, h)
     except ZetaDetError as exc:
         row["status"] = type(exc).__name__.removesuffix("Error")
         row.update(dict.fromkeys(SCAN_COLUMNS[2:-1]))
@@ -288,7 +282,7 @@ def scan_rows(cfg: JobConfig) -> list[dict]:
     h = _as_real(cfg.params.get("h", 1e-4), "bad-params", "params.h")
     if not 0.0 < h <= CR_MAX_STEP:
         _fail("bad-params", f"params.h lies in (0, {CR_MAX_STEP}]")
-    return [_scan_row(a, h, cfg.tolerances) for a in points]
+    return [_scan_row(a, h) for a in points]
 
 
 def run(cfg: JobConfig) -> dict:
@@ -303,7 +297,7 @@ def run(cfg: JobConfig) -> dict:
         if cfg.model is None:
             _fail("bad-model", "torsion needs a model")
         model = _build_circle_model(cfg.model)
-        report = circ.refined_torsion(model, tol)
+        report = circ.refined_torsion(model)
         results.update(
             torsion=_c2j(report.torsion),
             xi=_c2j(report.xi),
@@ -318,22 +312,22 @@ def run(cfg: JobConfig) -> dict:
     elif cfg.command == "zeta":
         spec = _build_spectrum(cfg.model or {})
         s = _as_complex(cfg.params.get("s", 0.0), "params.s")
-        res = spectral_zeta(spec, CutAngle(cfg.theta), s, tol=tol)
+        res = spectral_zeta(spec, CutAngle(cfg.theta), s)
         results.update(value=_c2j(res.value), errorEstimate=res.error_estimate)
     elif cfg.command == "eta":
         spec = _build_spectrum(cfg.model or {})
-        results.update(eta=_c2j(eta_invariant(spec, tol)))
+        results.update(eta=_c2j(eta_invariant(spec)))
     elif cfg.command == "det":
         spec = _build_spectrum(cfg.model or {})
-        res = ldet(spec, CutAngle(cfg.theta), tol)
+        res = ldet(spec, CutAngle(cfg.theta))
         results.update(ldet=_c2j(res.ldet), det=_c2j(res.det))
     elif cfg.command == "verify":
         if cfg.model is None:
             _fail("bad-model", "verify needs a model")
         if cfg.model.get("type") in ("rank1", "monodromy"):
             model = _build_circle_model(cfg.model)
-            report = circ.refined_torsion(model, tol)
-            trs = circ.trs_comparison(model, tol, report)
+            report = circ.refined_torsion(model)
+            trs = circ.trs_comparison(model, report)
             results.update(
                 torsion=_c2j(report.torsion),
                 raySinger=report.ray_singer,
@@ -380,7 +374,7 @@ def run(cfg: JobConfig) -> dict:
             _fail("bad-params", "params.dt is positive")
         t0 = _as_real(cfg.params.get("t", 0.0), "bad-params", "params.t")
         path, coeff, kind = _path_from_params(cfg.params)
-        res_eta = circ.eta_variation_check(path, dt, t0, tol)
+        res_eta = circ.eta_variation_check(path, dt, t0)
         checks.append(_check("eta_variation", res_eta, tol.variation_residual))
         family = _family_for_path(kind, complex(path(0.0)), coeff)
         res_arg = circ.arg_derivative_check(family, dt, t0)

@@ -133,7 +133,3 @@ class Sector:
         if lam == 0:
             return False
         return self.contains_direction(phase(lam))
-
-
-def in_sector(lam: complex, sector: Sector) -> bool:
-    return sector.contains(lam)

@@ -1,7 +1,11 @@
-"""Numerical policy: tolerances and continuation-kernel parameters.
+"""Numerical policy: tolerances, method constants and kernel parameters.
 
-Every tolerance used by the library lives here so that tests and the CLI
-reference named constants instead of scattered literals.
+``Tolerances`` holds the thresholds a check reports or asserts; a job may
+override each of them.  Everything else is a module constant that no job can
+set: the method constants that fix how T_alpha is built (the Agmon cone, the
+imaginary axis, the acyclic margin, the digits that merge eigenvalues), the
+caps, and the continuation-kernel parameters.  Tests and the CLI reference
+these names instead of scattered literals.
 """
 
 from __future__ import annotations
@@ -14,13 +18,8 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Tolerances:
-    # branch selection
-    agmon_epsilon: float = 1e-9        # default spectrum-free half-angle certified
-    # spectrum classification
-    imag_axis: float = 1e-12           # |Re| below this counts as purely imaginary
-    acyclic_distance: float = 1e-8     # minimum distance of a log parameter to Z
-    merge_significant_digits: int = 12  # rounding used when merging squared values
-    # identity residuals
+    """The thresholds a check reports or asserts; each is a per-job setting."""
+
     identity_residual: float = 1e-9    # determinant/eta identities
     finite_arithmetic: float = 1e-10   # exact finite-spectrum bookkeeping
     trs_residual: float = 1e-6         # torsion vs Ray-Singer comparisons
@@ -33,6 +32,12 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# Method constants: fixed choices of the construction, not per-job settings.
+AGMON_EPSILON = 1e-9           # half-angle of the eigenvalue-free cone certified about a cut
+IMAG_AXIS = 1e-12              # |Re| at or below this counts as purely imaginary
+ACYCLIC_DISTANCE = 1e-8        # least distance of a log parameter to Z
+MERGE_SIGNIFICANT_DIGITS = 12  # significant digits of the keys that merge and pair eigenvalues
 
 # Euler-Maclaurin policy: number of explicitly summed terms and the number of
 # Bernoulli correction terms.  The remainder is estimated by the first omitted
@@ -54,10 +59,10 @@ MAX_SCAN_POINTS = 100_000
 CR_MAX_STEP = 1e-4
 CR_MIN_INTEGER_DISTANCE = 0.05
 
-# Minimum ODE steps for monodromy integration and minimum sampling grid for
-# connection families.
+# Minimum ODE steps for monodromy integration, and the points of the trapezoid
+# grid that integrates the trace of a connection family's derivative over x.
 MIN_ODE_STEPS = 64
-MIN_FAMILY_GRID = 64
+FAMILY_GRID = 256
 
 # Empirically frozen global sign relating the torsion/Ray-Singer defect to the
 # imaginary part of the Arg class on the circle (orientation convention).

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .complexcut import CutAngle, Sector, as_cut, phase
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import AGMON_EPSILON, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     HypothesisViolatedError,
     InfiniteCrossingError,
@@ -64,28 +64,24 @@ class SymmetricDetReport:
     residual: float
 
 
-def ldet(
-    spec: Spectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
-) -> LDetResult:
+def ldet(spec: Spectrum, theta) -> LDetResult:
     """Log-determinant -zeta_theta'(0, D) and its exponential."""
     cut = as_cut(theta)
-    ld = -zeta_ds_at_zero(spec, cut, tol=tol)
+    ld = -zeta_ds_at_zero(spec, cut)
     try:
         return LDetResult(ld, cmath.exp(ld), cut)
     except OverflowError:
         raise OverflowError(f"det of {spec} at theta={cut.raw} is exp({ld}), beyond the float range") from None
 
 
-def graded_ldet(
-    gspec: GradedSpectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
-) -> LDetResult:
+def graded_ldet(gspec: GradedSpectrum, theta) -> LDetResult:
     """Alternating sum over parities of LDet_theta((-1)^j D_j)."""
     cut = as_cut(theta)
     total = 0.0 + 0.0j
     for j, part in gspec.components:
         eff = negate_spectrum(part) if j % 2 else part
         try:
-            contrib = -zeta_ds_at_zero(eff, cut, tol=tol)
+            contrib = -zeta_ds_at_zero(eff, cut)
         except NotAgmonError as exc:
             raise NotAgmonError(
                 witness=exc.witness, component=j,
@@ -146,19 +142,22 @@ def _cut_in_range(theta, caller: str) -> CutAngle:
     return cut
 
 
-def _square_side(spec: Spectrum, cut: CutAngle, tol: Tolerances):
-    """zeta'_{2theta}(0, D^2), eta(D) and zeta_{2theta}(0, D^2): the side built from D^2.
+def _square_side(spec: Spectrum, cut: CutAngle):
+    """zeta'_{2theta}(0, D^2), eta(D), zeta_{2theta}(0, D^2) and m_-(D): the side built from D^2.
 
     D^2 is certified once.  Without lattice families zeta(0) is the multiplicity
-    count, summed as the evaluator sums m * lambda^0, signed zeros included."""
-    square = square_spectrum(spec, tol)
+    count, summed as the evaluator sums m * lambda^0, signed zeros included.
+    One ``imaginary_axis_counts`` pass gives eta its (m_+, m_-) and the
+    factorization its m_-."""
+    square = square_spectrum(spec)
     cut2 = cut.doubled()
-    dz_sq = zeta_ds_at_zero(square, cut2, tol=tol)
-    eta = eta_invariant(spec, tol)
+    dz_sq = zeta_ds_at_zero(square, cut2)
+    counts = imaginary_axis_counts(spec)
+    eta = eta_invariant(spec, counts)
     families, points = decompose(square)
-    z0 = (spectral_zeta(square, cut2, 0.0, tol=tol).value if families
+    z0 = (spectral_zeta(square, cut2, 0.0).value if families
           else complex(sum(float(m) for _, m in points)))
-    return dz_sq, eta, z0
+    return dz_sq, eta, z0, counts[1]
 
 
 def _identity(lhs: complex, side, upper: bool = False, hypothesis_ok: bool = True):
@@ -166,7 +165,7 @@ def _identity(lhs: complex, side, upper: bool = False, hypothesis_ok: bool = Tru
 
     + for the upper mirror; without the sector hypothesis, up to the observed sign.
     """
-    dz_sq, eta, z0 = side
+    dz_sq, eta, z0, _ = side
     half_square = -0.5 * dz_sq
     phase_term = 1j * _PI * (eta - 0.5 * z0)
     rhs = half_square + phase_term if upper else half_square - phase_term
@@ -180,9 +179,8 @@ def _identity(lhs: complex, side, upper: bool = False, hypothesis_ok: bool = Tru
     return DetEtaReport(lhs, half_square, eta, z0, residual, sign)
 
 
-def _factorization(spec: Spectrum, base: LDetResult, side, tol: Tolerances):
-    dz_sq, eta, z0 = side
-    _, m_minus = imaginary_axis_counts(spec, tol)
+def _factorization(base: LDetResult, side, tol: Tolerances):
+    dz_sq, eta, z0, m_minus = side
     if abs(eta.imag) > tol.reality:
         raise RealityViolatedError("eta invariant", eta.imag)
     if abs(z0.imag) > tol.reality:
@@ -199,12 +197,7 @@ def _factorization(spec: Spectrum, base: LDetResult, side, tol: Tolerances):
     return SymmetricDetReport(base, factored, m_minus, eta, z0, abs(det_square), residual)
 
 
-def verify_det_eta(
-    spec: Spectrum,
-    theta,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    allow_sign_flip: bool = False,
-) -> DetEtaReport:
+def verify_det_eta(spec: Spectrum, theta, allow_sign_flip: bool = False) -> DetEtaReport:
     """Check LDet_theta(D) = LDet_{2theta}(D^2)/2 - i*pi*(eta - zeta_{2theta}(0, D^2)/2).
 
     ``theta`` must lie in (-pi/2, 0) with the hypothesis sectors free of
@@ -220,13 +213,11 @@ def verify_det_eta(
         if not allow_sign_flip:
             raise
         hypothesis_ok = False
-    lhs = -zeta_ds_at_zero(spec, cut, tol=tol)
-    return _identity(lhs, _square_side(spec, cut, tol), hypothesis_ok=hypothesis_ok)
+    lhs = -zeta_ds_at_zero(spec, cut)
+    return _identity(lhs, _square_side(spec, cut), hypothesis_ok=hypothesis_ok)
 
 
-def verify_det_eta_upper(
-    spec: Spectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DetEtaReport:
+def verify_det_eta_upper(spec: Spectrum, theta) -> DetEtaReport:
     """Upper-half-plane variant: LDet along the ray at theta+pi, + i*pi*(...) sign.
 
     The branch window is (theta - pi, theta + pi): same ray as direction
@@ -235,8 +226,8 @@ def verify_det_eta_upper(
     """
     cut = _cut_in_range(theta, "verify_det_eta_upper")
     _check_hypothesis_sectors(spec, cut.normalized)
-    lhs = -zeta_ds_at_zero(spec, cut.shifted(-_PI), tol=tol)
-    return _identity(lhs, _square_side(spec, cut, tol), upper=True)
+    lhs = -zeta_ds_at_zero(spec, cut.shifted(-_PI))
+    return _identity(lhs, _square_side(spec, cut), upper=True)
 
 
 def angle_shift_count(
@@ -253,8 +244,8 @@ def angle_shift_count(
     c1 = as_cut(theta1)
     c2 = as_cut(theta2)
     lo, hi = sorted((c1.normalized, c2.normalized))
-    certify_agmon(spec, c1, tol.agmon_epsilon)
-    certify_agmon(spec, c2, tol.agmon_epsilon)
+    certify_agmon(spec, c1, AGMON_EPSILON)
+    certify_agmon(spec, c2, AGMON_EPSILON)
 
     for d in spec.tail_directions():
         t = lo + math.fmod(d - lo, 2.0 * _PI)
@@ -273,8 +264,8 @@ def angle_shift_count(
         if t <= hi:
             count += m
 
-    d1 = zeta_ds_at_zero(spec, CutAngle(lo), tol=tol)
-    d2 = zeta_ds_at_zero(spec, CutAngle(hi), tol=tol)
+    d1 = zeta_ds_at_zero(spec, CutAngle(lo))
+    d2 = zeta_ds_at_zero(spec, CutAngle(hi))
     scale = 1.0 + abs(d1) + abs(d2)
     if abs(d1 - d2 - 2j * _PI * count) > tol.finite_arithmetic * scale * 10.0:
         raise ArithmeticError(
@@ -297,11 +288,11 @@ def symmetric_spectrum_det(
     then checks Det_theta(D) against
     (-1)^{m_-} * sqrt(|Det_{2theta}(D^2)|) * exp(-i*pi*(eta - zeta0/2)).
     """
-    if not is_symmetric_about_real_axis(spec, tol):
+    if not is_symmetric_about_real_axis(spec):
         raise NotSymmetricError("spectrum is not symmetric about the real axis")
     cut = _cut_in_range(theta, "symmetric_spectrum_det")
-    base = ldet(spec, cut, tol)
-    return _factorization(spec, base, _square_side(spec, cut, tol), tol)
+    base = ldet(spec, cut)
+    return _factorization(base, _square_side(spec, cut), tol)
 
 
 def verify_spectrum(
@@ -317,11 +308,11 @@ def verify_spectrum(
     """
     cut = _cut_in_range(theta, "verify_det_eta")
     _check_hypothesis_sectors(spec, cut.normalized)
-    base = ldet(spec, cut, tol)
-    side = _square_side(spec, cut, tol)
+    base = ldet(spec, cut)
+    side = _square_side(spec, cut)
     lower = _identity(base.ldet, side)
-    upper = _identity(-zeta_ds_at_zero(spec, cut.shifted(-_PI), tol=tol), side, upper=True)
+    upper = _identity(-zeta_ds_at_zero(spec, cut.shifted(-_PI)), side, upper=True)
     symmetric = None
-    if is_symmetric_about_real_axis(spec, tol):
-        symmetric = _factorization(spec, base, side, tol)
+    if is_symmetric_about_real_axis(spec):
+        symmetric = _factorization(base, side, tol)
     return lower, upper, symmetric

@@ -27,14 +27,13 @@ from dataclasses import InitVar, dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .complexcut import CutAngle, ang_dist, as_cut, phase
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import IMAG_AXIS, MERGE_SIGNIFICANT_DIGITS
 from .errors import DomainError, NotAgmonError
 
 _PI = math.pi
-_KEY_DIGITS = 12  # the digits of the keys a Finite keeps
 
 
-def merge_key(z: complex, sig_digits: int = _KEY_DIGITS) -> Tuple[str, str]:
+def merge_key(z: complex, sig_digits: int = MERGE_SIGNIFICANT_DIGITS) -> Tuple[str, str]:
     """Comparison key: both components rounded to ``sig_digits`` significant digits."""
     re = z.real + 0.0
     im = z.imag + 0.0
@@ -127,7 +126,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class Finite(Spectrum):
-    """Distinct eigenvalues; ``keys``: their 12-digit ``merge_key``s, given as ``merge_keys`` or formatted."""
+    """Distinct eigenvalues; ``keys``: their ``merge_key``s, given as ``merge_keys`` or formatted."""
 
     eigenvalues: Tuple[Eigenvalue, ...]
     merge_keys: InitVar[Tuple[Tuple[str, str], ...] | None] = None
@@ -427,16 +426,14 @@ def certify_agmon(spec: Spectrum, theta, epsilon: float) -> AgmonCertificate:
     return AgmonCertificate(cut, epsilon)
 
 
-def imaginary_axis_counts(
-    spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Tuple[int, int]:
+def imaginary_axis_counts(spec: Spectrum) -> Tuple[int, int]:
     """Multiplicity counts (m_plus, m_minus) on the imaginary half-axes.
 
     Every eigenvalue next to the half-axes is among ``points_near`` of them.
     """
     mp = mm = 0
     for v, m in spec.points_near((-_PI / 2.0, _PI / 2.0)):
-        if abs(v.real) <= tol.imag_axis:
+        if abs(v.real) <= IMAG_AXIS:
             if v.imag > 0:
                 mp += m
             elif v.imag < 0:
@@ -444,37 +441,32 @@ def imaginary_axis_counts(
     return mp, mm
 
 
-def _family_key(family: Spectrum, tol: Tolerances, conj: bool) -> tuple:
+def _family_key(family: Spectrum, conj: bool) -> tuple:
     """Lattice by a mod Z, QuadLattice by +-a mod Z; HermQuadLattice is self-conjugate."""
     a = family.a
     if conj and not isinstance(family, HermQuadLattice):
         a = a.conjugate()
-    if abs(a.imag) <= tol.imag_axis:
+    if abs(a.imag) <= IMAG_AXIS:
         a = complex(a.real, 0.0)
-    sig = tol.merge_significant_digits
-    key = merge_key(_normalize_log_param(a)[0], sig)
+    key = merge_key(_normalize_log_param(a)[0])
     if isinstance(family, QuadLattice):
-        key = min(key, merge_key(_normalize_log_param(-a)[0], sig))
+        key = min(key, merge_key(_normalize_log_param(-a)[0]))
     return type(family).__name__, key
 
 
-def is_symmetric_about_real_axis(
-    spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def is_symmetric_about_real_axis(spec: Spectrum) -> bool:
     """True iff conj(lambda) occurs with the same multiplicity as lambda.
 
     The decomposition must equal its conjugate: families by their canonical
-    key, signed point multiplicities by ``merge_key`` (a ``Finite``'s own at 12
-    digits), the conjugate's key derived from the point's.
+    key, signed point multiplicities by ``merge_key`` (a ``Finite``'s own),
+    the conjugate's key derived from the point's.
     """
     families, points = decompose(spec)
-    sig = tol.merge_significant_digits
-    own = isinstance(spec, Finite) and sig == _KEY_DIGITS
-    keys = spec.keys if own else [merge_key(v, sig) for v, _ in points]
+    keys = spec.keys if isinstance(spec, Finite) else [merge_key(v) for v, _ in points]
 
     def tally(conj: bool) -> dict:
         counts: dict = {}
-        keyed = [(_family_key(f, tol, conj), f.mu) for f in families]
+        keyed = [(_family_key(f, conj), f.mu) for f in families]
         keyed += [(_conjugate_key(k) if conj else k, m) for k, (_, m) in zip(keys, points)]
         for k, m in keyed:
             counts[k] = counts.get(k, 0) + m
@@ -515,21 +507,20 @@ def _map_spectrum(spec: Spectrum, verb: str, finite, lattice) -> Spectrum:
     return Restricted(image, tuple(sorted((reindex(n), m) for n, m in spec.sub_mult)))
 
 
-def square_spectrum(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
+def square_spectrum(spec: Spectrum) -> Spectrum:
     """Eigenvalues squared; coinciding squares merge by summing multiplicities.
 
-    Squares merge by ``merge_key`` at ``tol.merge_significant_digits``, at 12
-    digits the square's own keys.  A lattice is refused when its eigenvalue
-    nearest 0, a - round(Re a), squares to 0.
+    Squares merge by ``merge_key``, which the square keeps as its own keys.
+    A lattice is refused when its eigenvalue nearest 0, a - round(Re a),
+    squares to 0.
     """
 
     def finite(spec: Finite) -> Finite:
         acc: dict = {}
         for v, m in spec.items():
             sq = _square(v)
-            acc.setdefault(merge_key(sq, tol.merge_significant_digits), [sq, 0])[1] += m
-        keys = tuple(acc) if tol.merge_significant_digits == _KEY_DIGITS else None
-        return Finite(tuple(Eigenvalue(v, m) for v, m in acc.values()), keys)
+            acc.setdefault(merge_key(sq), [sq, 0])[1] += m
+        return Finite(tuple(Eigenvalue(v, m) for v, m in acc.values()), tuple(acc))
 
     def lattice(f: Lattice):
         _square(f.a - round(f.a.real))

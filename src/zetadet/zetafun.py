@@ -37,13 +37,7 @@ import operator
 from dataclasses import dataclass
 
 from .complexcut import TAU, CutAngle, ang_dist, as_cut, log_cut, pow_cut
-from .config import (
-    DEFAULT_TOLERANCES,
-    EM_BERNOULLI_ORDER,
-    Tolerances,
-    em_num_terms,
-    explicit_terms,
-)
+from .config import AGMON_EPSILON, EM_BERNOULLI_ORDER, IMAG_AXIS, em_num_terms, explicit_terms
 from .errors import DomainError, PoleError
 from .kernels import hurwitz_zeta_raw, log_gamma
 from .spectrum import (
@@ -125,25 +119,25 @@ def _lattice(f: Lattice, cut: CutAngle) -> tuple:
     return head, ((1, k_r, (atil + buf_r,)), (1, k_l, (qm + buf_l,)))
 
 
-def _eta_signed(points, tol: Tolerances) -> list:
+def _eta_signed(points) -> list:
     """eta's sign rule: (v, m) for Re v > 0, (-v, -m) for Re v < 0; the imaginary axis left out."""
     signed = []
     for v, m in points:
-        if v.real > tol.imag_axis:
+        if v.real > IMAG_AXIS:
             signed.append((v, m))
-        elif v.real < -tol.imag_axis:
+        elif v.real < -IMAG_AXIS:
             signed.append((-v, -m))
     return signed
 
 
-def _lattice_eta(f: Lattice, cut: CutAngle, tol: Tolerances) -> tuple:
+def _lattice_eta(f: Lattice, cut: CutAngle) -> tuple:
     """{a + n} for eta: the sign rule on the head; the left tail negated onto the tail at 0."""
     atil, _ = _normalize_log_param(f.a)
     qm = 1.0 - atil
     th = cut.normalized
     gap = ang_dist(th, 0.0)
     buf_r, buf_l = _tail_buffer(atil, gap), _tail_buffer(qm, gap)
-    head = _eta_signed([(atil + m, 1) for m in range(buf_r)] + [(-(qm + m), 1) for m in range(buf_l)], tol)
+    head = _eta_signed([(atil + m, 1) for m in range(buf_r)] + [(-(qm + m), 1) for m in range(buf_l)])
     k = 2 * _tail_winding(0.0, th)
     return head, ((1, k, (atil + buf_r,)), (-1, k, (qm + buf_l,)))
 
@@ -221,7 +215,7 @@ def _tail(scale: int, v2: float, w, s, errs: list) -> complex:
     return total
 
 
-def _family(f: Spectrum, cut: CutAngle, tol: Tolerances, s, eta: bool) -> tuple:
+def _family(f: Spectrum, cut: CutAngle, s, eta: bool) -> tuple:
     """(scale, v^2, head, tail groups) of a lattice family, refused at a pole; eta's with ``eta``."""
     if eta:
         f = _eta_family(f)
@@ -233,11 +227,11 @@ def _family(f: Spectrum, cut: CutAngle, tol: Tolerances, s, eta: bool) -> tuple:
         # zeta_H(scale*s + 2j, w) has its pole at 1; beyond j = 0 only a series meets it
         if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v2 > 0.0):
             raise PoleError(s.real, f"pole at s={s.real:.17g}")
-    head, groups = _lattice_eta(f, cut, tol) if eta else _LAYOUTS[type(f)](f, cut)
+    head, groups = _lattice_eta(f, cut) if eta else _LAYOUTS[type(f)](f, cut)
     return scale, v2, head, groups
 
 
-def _evaluate(spec: Spectrum, cut: CutAngle, tol: Tolerances, s=None, eta: bool = False):
+def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
     """(zeta(s), error) of ``spec``, summed over ``decompose(spec)``; zeta'(0) when s is None.
 
     Every part takes sum m*pow_cut(head), or -sum m*log_cut(head) and, from
@@ -249,10 +243,10 @@ def _evaluate(spec: Spectrum, cut: CutAngle, tol: Tolerances, s=None, eta: bool 
     """
     families, points = decompose(spec)
     if eta:
-        points = _eta_signed(points, tol)
+        points = _eta_signed(points)
     value = err = None
     for f in families + (None,) if points or not families else families:
-        scale, v2, head, groups = (0, 0.0, points, ()) if f is None else _family(f, cut, tol, s, eta)
+        scale, v2, head, groups = (0, 0.0, points, ()) if f is None else _family(f, cut, s, eta)
         total = 0.0 + 0.0j
         if s is None:
             for v, m in head:
@@ -284,68 +278,63 @@ def _eta_family(f: Spectrum) -> Lattice:
     return f
 
 
-def _lat_eta0(f: Lattice, tol: Tolerances) -> complex:
+def _lat_eta0(f: Lattice) -> complex:
     atil, _ = _normalize_log_param(f.a)
-    skip_r = 1 if atil.real <= tol.imag_axis else 0
-    skip_l = 1 if (1.0 - atil).real <= tol.imag_axis else 0
+    skip_r = 1 if atil.real <= IMAG_AXIS else 0
+    skip_l = 1 if (1.0 - atil).real <= IMAG_AXIS else 0
     return f.mu * (1.0 - 2.0 * atil - skip_r + skip_l)
 
 
-def spectral_zeta(
-    spec: Spectrum, theta, s, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ZetaResult:
+def spectral_zeta(spec: Spectrum, theta, s) -> ZetaResult:
     """zeta_theta(s, D) = sum of m_k * lambda_k^{-s} along the cut."""
     cut = as_cut(theta)
-    certify_agmon(spec, cut, tol.agmon_epsilon)
+    certify_agmon(spec, cut, AGMON_EPSILON)
     try:
-        value, err = _evaluate(spec, cut, tol, complex(s))
+        value, err = _evaluate(spec, cut, complex(s))
     except OverflowError:
         raise OverflowError(f"spectral zeta of {spec} at s={complex(s)} overflows the float range") from None
     return ZetaResult(value, err)
 
 
-def zeta_at_zero(
-    spec: Spectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
-) -> complex:
+def zeta_at_zero(spec: Spectrum, theta) -> complex:
     """zeta_theta(0, D); the total multiplicity for finite spectra."""
-    return spectral_zeta(spec, theta, 0.0, tol).value
+    return spectral_zeta(spec, theta, 0.0).value
 
 
-def zeta_ds_at_zero(
-    spec: Spectrum, theta, tol: Tolerances = DEFAULT_TOLERANCES
-) -> complex:
+def zeta_ds_at_zero(spec: Spectrum, theta) -> complex:
     """zeta_theta'(0, D), assembled exactly (no numerical differentiation)."""
     cut = as_cut(theta)
-    certify_agmon(spec, cut, tol.agmon_epsilon)
-    return _evaluate(spec, cut, tol)[0]
+    certify_agmon(spec, cut, AGMON_EPSILON)
+    return _evaluate(spec, cut)[0]
 
 
 # ---------------------------------------------------------------------------
 # eta function and invariant
 
 
-def eta_function(
-    spec: Spectrum, theta, s, tol: Tolerances = DEFAULT_TOLERANCES
-) -> complex:
+def eta_function(spec: Spectrum, theta, s) -> complex:
     """Spectral asymmetry function; imaginary-axis eigenvalues are excluded."""
     cut = as_cut(theta)
-    certify_agmon(spec, cut, tol.agmon_epsilon)
-    return _evaluate(spec, cut, tol, complex(s), eta=True)[0]
+    certify_agmon(spec, cut, AGMON_EPSILON)
+    return _evaluate(spec, cut, complex(s), eta=True)[0]
 
 
-def _eta_at_zero(spec: Spectrum, tol: Tolerances) -> complex:
+def _eta_at_zero(spec: Spectrum) -> complex:
     """eta_theta(0, D); branch-free, hence independent of the cut.
 
     Families give the closed form, the points their signed count; summed from the first.
     """
     families, points = decompose(spec)
-    terms = [_lat_eta0(_eta_family(f), tol) for f in families]
+    terms = [_lat_eta0(_eta_family(f)) for f in families]
     if points or not terms:
-        terms.append(complex(sum(m for _, m in _eta_signed(points, tol))))
+        terms.append(complex(sum(m for _, m in _eta_signed(points))))
     return functools.reduce(operator.add, terms)
 
 
-def eta_invariant(spec: Spectrum, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
-    """(eta(0, D) + m_+ - m_-) / 2 — the sign-refined eta invariant."""
-    m_plus, m_minus = imaginary_axis_counts(spec, tol)
-    return 0.5 * (_eta_at_zero(spec, tol) + m_plus - m_minus)
+def eta_invariant(spec: Spectrum, counts: tuple[int, int] | None = None) -> complex:
+    """(eta(0, D) + m_+ - m_-) / 2 — the sign-refined eta invariant.
+
+    ``counts`` is ``imaginary_axis_counts(spec)``, (m_+, m_-), when the caller has it.
+    """
+    m_plus, m_minus = imaginary_axis_counts(spec) if counts is None else counts
+    return 0.5 * (_eta_at_zero(spec) + m_plus - m_minus)

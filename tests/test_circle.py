@@ -24,6 +24,7 @@ from zetadet import (
     trs_comparison,
 )
 from zetadet.circle import cr_residual, model_arg_class, scan_points, scan_row
+from zetadet.config import FAMILY_GRID
 from zetadet.cli import _family_for_path, parse_config, scan_rows
 
 from helpers import random_invertible
@@ -353,12 +354,6 @@ class TestMonodromy:
         with pytest.raises(ValueError):
             monodromy(fam, 32)
 
-    def test_grid_minimum(self):
-        with pytest.raises(ValueError):
-            ConnectionFamily.constant(np.zeros((1, 1))).__class__(
-                lambda x, t: np.zeros((1, 1)), 1, n_grid=16
-            )
-
     def test_constant_in_x_is_checked(self):
         with pytest.raises(ValueError, match="constant_in_x"):
             ConnectionFamily(
@@ -429,7 +424,7 @@ class TestVariationChecks:
             if wrapped > 0.5:
                 wrapped -= 1.0
             deriv = complex(wrapped, diff.imag) / (2.0 * dt)
-            xs = np.linspace(0.0, 2 * PI, fam.n_grid, endpoint=False)
+            xs = np.linspace(0.0, 2 * PI, FAMILY_GRID, endpoint=False)
             traces = np.array([np.trace(np.asarray(fam.psi(x, t), dtype=complex)) for x in xs])
             rhs = -complex(traces.mean() * 2 * PI) / (2j * PI)
             return abs(deriv - rhs)

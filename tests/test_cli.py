@@ -76,6 +76,13 @@ def _rk4_edge_family(target: float, steps: int) -> dict:
     return {"kind": "constant", "matrix": [[{"re": -g, "im": 0.0}]]}
 
 
+# former Tolerances fields, now config constants, each at its value
+REMOVED_TOLERANCES = (
+    ("agmon_epsilon", 1e-9), ("imag_axis", 1e-12), ("acyclic_distance", 1e-8), ("merge_significant_digits", 12),
+)
+_LATTICE_DET = {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}}}
+
+
 class TestSchema:
     def test_unknown_command(self):
         with pytest.raises(SchemaError):
@@ -140,9 +147,9 @@ class TestCommands:
 
         calls = []
 
-        def counted(spec, tol):
+        def counted(spec):
             calls.append(spec)
-            return square_spectrum(spec, tol)
+            return square_spectrum(spec)
 
         monkeypatch.setattr(determinant, "square_spectrum", counted)
         model = {"type": "finite", "eigenvalues": [{"re": 1.0, "im": 0.5}, {"re": 1.0, "im": -0.5}, {"re": 2.0}]}
@@ -157,7 +164,7 @@ class TestCommands:
         import zetadet.spectrum as spectrum
         import zetadet.zetafun as zetafun
 
-        counts = {"certify_agmon": 0, "merge_key": 0}
+        counts = {"certify_agmon": 0, "merge_key": 0, "imaginary_axis_counts": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -167,8 +174,10 @@ class TestCommands:
 
         monkeypatch.setattr(spectrum, "merge_key", counted("merge_key", spectrum.merge_key))
         certify = counted("certify_agmon", spectrum.certify_agmon)
+        axis_counts = counted("imaginary_axis_counts", spectrum.imaginary_axis_counts)
         for module in (spectrum, zetafun, determinant):
             monkeypatch.setattr(module, "certify_agmon", certify)
+            monkeypatch.setattr(module, "imaginary_axis_counts", axis_counts)
         monkeypatch.setattr(zetafun, "pow_cut", lambda *args: pytest.fail("pow_cut called"))
         # ten conjugate pairs, half of them in the left half-plane, clear of both sectors
         values = []
@@ -184,6 +193,8 @@ class TestCommands:
         assert all(c["pass"] for c in res["checks"])
         assert counts["certify_agmon"] == 3
         assert counts["merge_key"] <= 2 * len(values)
+        # eta and the factorization's m_- come from one pass over the imaginary axis
+        assert counts["imaginary_axis_counts"] == 1
 
     def test_variation_integrates_once(self, monkeypatch):
         import zetadet.circle as circle
@@ -353,12 +364,12 @@ class TestScan:
         assert peak < 64 * 1024  # the grid's points alone would take megabytes
 
     def test_grid_at_cap_accepted(self, monkeypatch):
-        monkeypatch.setattr(cli, "_scan_row", lambda a, h, tol: {})
+        monkeypatch.setattr(cli, "_scan_row", lambda a, h: {})
         cfg = _job("scan", params={"grid": {**ONE_POINT_GRID, "reSteps": 1, "imSteps": MAX_SCAN_POINTS}})
         assert len(scan_rows(cfg)) == MAX_SCAN_POINTS
 
     def test_grid_cap_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_scan_row", lambda a, h, tol: pytest.fail("a row ran past the grid cap"))
+        monkeypatch.setattr(cli, "_scan_row", lambda a, h: pytest.fail("a row ran past the grid cap"))
         job = {"command": "scan", "params": {"grid": {**ONE_POINT_GRID, "reSteps": 317, "imSteps": 317}}}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
         assert main(["scan", "--config", "-"]) == 2
@@ -386,13 +397,13 @@ class TestScan:
         assert rows[1]["t_abs"] is None
 
 
-def _refined_torsion_row(a, h, tol):
+def _refined_torsion_row(a, h):
     """A scan row built on the full ``refined_torsion``, which also computes xi."""
     row = {"a_re": a.real, "a_im": a.imag, "status": "ok"}
     try:
-        model = circ.build_rank1(a, tol)
-        report = circ.refined_torsion(model, tol)
-        cr = circ.cr_residual(lambda z: circ.torsion_ldet(circ.build_rank1(z, tol), tol).det, a, h)
+        model = circ.build_rank1(a)
+        report = circ.refined_torsion(model)
+        cr = circ.cr_residual(lambda z: circ.torsion_ldet(circ.build_rank1(z)).det, a, h)
         row.update(
             t_re=report.torsion.real,
             t_im=report.torsion.imag,
@@ -410,7 +421,7 @@ def _refined_torsion_row(a, h, tol):
 
 def _row_or_error(row_fn, a):
     try:
-        return row_fn(a, 1e-4, DEFAULT_TOLERANCES)
+        return row_fn(a, 1e-4)
     except ArithmeticError as exc:
         return type(exc).__name__, str(exc)
 
@@ -652,7 +663,7 @@ class TestCliEntry:
     @pytest.mark.parametrize("place", sorted(_SCAN_PLACES))
     @pytest.mark.parametrize("literal", ["1e999", "-1E+400", "9" * 300 + "e99", "1" + "0" * 320 + ".5"])
     def test_overflowing_literal_refused_before_any_row(self, monkeypatch, capsys, place, fmt, literal):
-        monkeypatch.setattr(cli, "_scan_row", lambda a, h, tol: pytest.fail("a scan row ran"))
+        monkeypatch.setattr(cli, "_scan_row", lambda a, h: pytest.fail("a scan row ran"))
         template, path = self._SCAN_PLACES[place]
         monkeypatch.setattr("sys.stdin", io.StringIO(template % literal))
         assert main(["scan", "--config", "-", "--format", fmt]) == 2
@@ -828,6 +839,20 @@ class TestCliEntry:
                 {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}},
                  "tolerances": {"on_cut_angle": 0.0}},
                 [], "bad-tolerances", ("on_cut_angle",), id="removed-on-cut-angle",
+            ),
+            *(
+                pytest.param(
+                    {**_LATTICE_DET, "tolerances": {name: value}},
+                    [], "bad-tolerances", (name,), id=f"removed-{name}-in-config",
+                )
+                for name, value in REMOVED_TOLERANCES
+            ),
+            *(
+                pytest.param(
+                    _LATTICE_DET, ["--tol-overrides", f"{name}={value}"], "bad-tolerances", (name,),
+                    id=f"removed-{name}-in-overrides",
+                )
+                for name, value in REMOVED_TOLERANCES
             ),
             pytest.param(
                 {"command": "det", "model": {"type": "finite", "eigenvalues": [{"re": 2.0, "multiplicity": 10**400}]}},

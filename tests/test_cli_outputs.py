@@ -118,7 +118,7 @@ def _floats(node):
         yield node
 
 
-def test_edge_jobs_are_recorded_with_positive_zeros(tmp_path, monkeypatch):
+def _edge_records(tmp_path, monkeypatch):
     # only the edge jobs: the seeded rounds take seconds
     monkeypatch.setattr(cli_outputs, "SEEDS", ())
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -128,8 +128,28 @@ def test_edge_jobs_are_recorded_with_positive_zeros(tmp_path, monkeypatch):
     assert [(r["workload"], r["slot"], r["argv"][0]) for r in recs] == [
         ("edge", i, job["command"]) for i, job in enumerate(cli_outputs.EDGE_JOBS)
     ]
+    return recs
+
+
+def test_edge_jobs_are_recorded_with_positive_zeros(tmp_path, monkeypatch):
+    recs = _edge_records(tmp_path, monkeypatch)[:len(cli_outputs.ZERO_JOBS)]
+    assert len(recs) == 4
     for rec in recs:
         assert (rec["exit"], rec["stderr"]) == (0, "")
         # every job sums to an exact 0 somewhere; a sum that flips its sign prints -0.0
         zeros = [x for x in _floats(json.loads(rec["stdout"])) if x == 0.0]
         assert zeros and all(math.copysign(1.0, x) == 1.0 for x in zeros), rec["stdout"]
+
+
+def test_constant_jobs_fall_on_their_sides(tmp_path, monkeypatch):
+    from zetadet import Finite, square_spectrum
+
+    recs = _edge_records(tmp_path, monkeypatch)[len(cli_outputs.ZERO_JOBS):]
+    codes = [json.loads(r["stderr"])["error"]["code"] if r["exit"] == 2 else r["exit"] for r in recs]
+    assert codes == [0, "NonAcyclic", 0, "NotAgmon", 0, 0, 0, 0]
+    # on the axis: 5e-13 +- i, counted in m_+ and m_-; off it: 2e-12 +- i, in eta(0)
+    assert json.loads(recs[0]["stdout"])["results"]["eta"] == {"re": 1.0, "im": 0.0}
+    # the verify models' squares: merged, merged, apart
+    for job, merged in zip(cli_outputs.CONSTANT_JOBS[5:], (True, True, False)):
+        spec = Finite.of(*(complex(e["re"], e["im"]) for e in job["model"]["eigenvalues"]))
+        assert len(square_spectrum(spec).eigenvalues) == (1 if merged else 2)

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from zetadet import CutAngle, OnCutError, Sector, ZeroInputError, in_sector, log_cut, pow_cut
+from zetadet import CutAngle, OnCutError, Sector, ZeroInputError, log_cut, pow_cut
 from zetadet.complexcut import TAU, ang_dist
 
 PI = math.pi
@@ -125,16 +125,16 @@ def test_pow_cut_exponent_additivity(lam, theta, s1, s2):
 
 class TestSector:
     def test_upper_half_plane(self):
-        assert in_sector(1j, Sector(0.0, PI))
+        assert Sector(0.0, PI).contains(1j)
 
     def test_origin_excluded(self):
-        assert not in_sector(0, Sector(0.0, PI))
-        assert not in_sector(0, Sector(-PI, PI, True, True))
+        assert not Sector(0.0, PI).contains(0)
+        assert not Sector(-PI, PI, True, True).contains(0)
 
     def test_closed_endpoint(self):
         s = Sector(-PI / 2, PI / 2, hi_closed=True)
-        assert in_sector(cmath.exp(1j * PI / 2), s)
-        assert not in_sector(cmath.exp(-1j * PI / 2), s)
+        assert s.contains(cmath.exp(1j * PI / 2))
+        assert not s.contains(cmath.exp(-1j * PI / 2))
 
     def test_open_endpoints(self):
         s = Sector(0.0, PI / 2)

@@ -30,10 +30,9 @@ from zetadet import (
     zeta_at_zero,
 )
 from zetadet.complexcut import Sector, as_cut, phase
-from zetadet.config import DEFAULT_TOLERANCES
-from zetadet.determinant import _check_hypothesis_sectors, _factorization, _identity
+from zetadet.determinant import _check_hypothesis_sectors
 from zetadet.spectrum import square_spectrum
-from zetadet.zetafun import eta_invariant, spectral_zeta, zeta_ds_at_zero
+from zetadet.zetafun import spectral_zeta
 
 from helpers import (
     brute_is_agmon,
@@ -229,30 +228,6 @@ class TestVerifySpectrum:
         with pytest.raises(error) as lower:
             verify_det_eta(spec, theta)
         assert str(one_pass.value) == str(lower.value)
-
-    def test_merge_digit_override(self):
-        # the squares 1 and 1 + 2e-8 merge at 6 digits but not at 12; the
-        # conjugate pair is one at 6 digits only
-        spec = Finite.of(1, -(1 + 1e-8), 1 + 0.5j, 1 - (0.5 + 1e-11) * 1j)
-        tol = DEFAULT_TOLERANCES.with_overrides(merge_significant_digits=6)
-        lower, upper, sym = verify_spectrum(spec, -PI / 4, tol)
-        # the square side as built before the shortcuts, from D^2 at 2*theta
-        square = square_spectrum(spec, tol)
-        assert square.items()[0] == (1 + 0j, 2)
-        cut2 = as_cut(-PI / 4).doubled()
-        side = (
-            zeta_ds_at_zero(square, cut2, tol),
-            eta_invariant(spec, tol),
-            spectral_zeta(square, cut2, 0.0, tol).value,
-        )
-        base = ldet(spec, -PI / 4, tol)
-        assert lower == _identity(base.ldet, side)
-        assert upper == _identity(-zeta_ds_at_zero(spec, CutAngle(-PI / 4).shifted(-PI), tol), side, upper=True)
-        assert sym == _factorization(spec, base, side, tol)
-        assert is_symmetric_about_real_axis(spec, tol)
-        # at the default 12 digits nothing merges and the spectrum is not symmetric
-        assert verify_spectrum(spec, -PI / 4)[2] is None
-        assert self._agrees(spec, -PI / 4) is False
 
 
 class TestAngleShift:

@@ -24,7 +24,7 @@ from zetadet import (
     square_spectrum,
 )
 from zetadet.complexcut import ang_dist
-from zetadet.config import DEFAULT_TOLERANCES
+from zetadet.config import IMAG_AXIS
 from zetadet.spectrum import _conjugate_key, merge_key
 
 from helpers import brute_is_agmon, clear_radius
@@ -219,13 +219,12 @@ class TestImaginaryAxisCounts:
     @settings(max_examples=200, deadline=None)
     @given(spec=AXIS_FAMILIES)
     def test_agrees_with_brute_force(self, spec):
-        tol = DEFAULT_TOLERANCES
         mp = mm = 0
         for v, m in spec.points_within(AXIS_RADIUS):
-            if abs(v.real) <= tol.imag_axis:
+            if abs(v.real) <= IMAG_AXIS:
                 mp += m if v.imag > 0 else 0
                 mm += m if v.imag < 0 else 0
-        assert imaginary_axis_counts(spec, tol) == (mp, mm)
+        assert imaginary_axis_counts(spec) == (mp, mm)
 
 
 class TestSymmetry:
@@ -291,22 +290,6 @@ class TestKeys:
         assert sq.keys == tuple(merge_key(e.value) for e in sq.eigenvalues)
         # a copy with other eigenvalues formats its own keys
         assert dataclasses.replace(sq, eigenvalues=sq.eigenvalues[1:]).keys == sq.keys[1:]
-
-    def test_keys_follow_the_merge_digits(self):
-        # the squares 1 and 1 + 2e-8 merge at 6 digits but not at 12; the
-        # conjugate pair is one at 6 digits only
-        spec = Finite.of(1, -(1 + 1e-8), 1 + 0.5j, 1 - (0.5 + 1e-11) * 1j)
-        tol6 = DEFAULT_TOLERANCES.with_overrides(merge_significant_digits=6)
-        sq = square_spectrum(spec, tol6)
-        assert sq.items() == ((1 + 0j, 2), ((1 + 0.5j) ** 2, 1), ((1 - (0.5 + 1e-11) * 1j) ** 2, 1))
-        assert sq.keys == tuple(merge_key(e.value) for e in sq.eigenvalues)
-        assert len(square_spectrum(spec).eigenvalues) == 4
-        assert is_symmetric_about_real_axis(spec, tol6)
-        assert not is_symmetric_about_real_axis(spec)
-        # the same spectrum through the general path: no Finite keys to reuse
-        assert is_symmetric_about_real_axis(DirectSum((spec,)), tol6)
-        assert not is_symmetric_about_real_axis(DirectSum((spec,)))
-
 
 class TestSquare:
     def test_imaginary_pair_merges(self):

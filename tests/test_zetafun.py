@@ -28,7 +28,7 @@ from zetadet import (
     zeta_ds_at_zero,
 )
 from zetadet.complexcut import pow_cut
-from zetadet.config import DEFAULT_TOLERANCES
+from zetadet.config import IMAG_AXIS
 
 from helpers import direct_hurwitz_sum
 
@@ -389,9 +389,9 @@ class TestEvaluatorBitRules:
         mults = [1, 2, 3, 1, 2, 1, 5, 2]
         expected = 0j
         for v, m in zip(map(complex, values), mults):
-            if v.real > DEFAULT_TOLERANCES.imag_axis:
+            if v.real > IMAG_AXIS:
                 expected += m * pow_cut(v, s, theta)
-            elif v.real < -DEFAULT_TOLERANCES.imag_axis:
+            elif v.real < -IMAG_AXIS:
                 expected -= m * pow_cut(-v, s, theta)
         spec = Finite.of(*values, multiplicities=mults)
         assert _bits(eta_function(spec, theta, s)) == _bits(expected)

@@ -21,6 +21,7 @@ otherwise, however far the numbers moved.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import io
@@ -37,15 +38,40 @@ def _finite(*values) -> dict:
     return {"type": "finite", "eigenvalues": [{"re": z.real, "im": z.imag} for z in map(complex, values)]}
 
 
-# Cases the seeded rounds miss: sums that come out exactly 0, whose signed zeros
-# show in the output, and zeta at s = 0.  Recorded as workload "edge".  The
-# eigenvalue -i is complex(0.0, -1.0): the literal -1j has real part -0.0.
-EDGE_JOBS = (
+def _rank1(a: complex) -> dict:
+    return {"type": "rank1", "a": {"re": a.real, "im": a.imag}}
+
+
+# Cases the seeded rounds miss, recorded as workload "edge".  ZERO_JOBS: sums
+# that come out exactly 0, whose signed zeros show in the output, and zeta at
+# s = 0.  The eigenvalue -i is complex(0.0, -1.0): the literal -1j has real
+# part -0.0.
+ZERO_JOBS = (
     {"schemaVersion": 1, "command": "det", "theta": -0.7, "model": _finite(1)},
     {"schemaVersion": 1, "command": "zeta", "model": _finite(1, -1), "params": {"s": {"re": 0.0, "im": 0.0}}},
     {"schemaVersion": 1, "command": "eta", "model": _finite(1j, complex(0.0, -1.0))},
     {"schemaVersion": 1, "command": "verify", "model": _finite(1, -1)},
 )
+# CONSTANT_JOBS: inputs on either side of each method constant in config, so a
+# recording moves when one of them does.  Beside +-i, real parts 5e-13 and 2e-12
+# straddle IMAG_AXIS; rank-1 a = 1 + 5e-9 and 1 + 2e-8 straddle ACYCLIC_DISTANCE;
+# points 5e-10 and 2e-9 in angle from the default cut straddle AGMON_EPSILON;
+# the squares of {1, -(1 + 1e-13)} and {1, -(1 + 1e-12)} merge at
+# MERGE_SIGNIFICANT_DIGITS (the latter's not at one digit more), and those of
+# {1, -(1 + 1e-11)} only at fewer digits.
+_THETA = -math.pi / 4.0
+CONSTANT_JOBS = (
+    {"schemaVersion": 1, "command": "eta",
+     "model": _finite(complex(5e-13, 1.0), complex(5e-13, -1.0), complex(2e-12, 1.0), complex(2e-12, -1.0))},
+    {"schemaVersion": 1, "command": "torsion", "model": _rank1(1 + 5e-9)},
+    {"schemaVersion": 1, "command": "torsion", "model": _rank1(1 + 2e-8)},
+    {"schemaVersion": 1, "command": "det", "model": _finite(cmath.rect(2.0, _THETA + 5e-10))},
+    {"schemaVersion": 1, "command": "det", "model": _finite(cmath.rect(2.0, _THETA + 2e-9))},
+    {"schemaVersion": 1, "command": "verify", "model": _finite(1, -(1 + 1e-13))},
+    {"schemaVersion": 1, "command": "verify", "model": _finite(1, -(1 + 1e-12))},
+    {"schemaVersion": 1, "command": "verify", "model": _finite(1, -(1 + 1e-11))},
+)
+EDGE_JOBS = ZERO_JOBS + CONSTANT_JOBS
 
 _WALL = re.compile(r'"wallTimeSeconds":[^,}]*')
 
