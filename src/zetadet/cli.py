@@ -144,9 +144,11 @@ def parse_config(raw: dict) -> JobConfig:
     unknown = set(overrides) - _TOL_FIELDS
     if unknown:
         _fail("bad-tolerances", f"unknown tolerance fields: {sorted(unknown)}")
-    tol = DEFAULT_TOLERANCES.with_overrides(
-        **{name: _as_real(value, "bad-tolerances", name) for name, value in overrides.items()}
-    )
+    values = {name: _as_real(value, "bad-tolerances", name) for name, value in overrides.items()}
+    for name, x in values.items():
+        if x < 0:
+            _fail("bad-tolerances", f"{name} is a nonnegative number")
+    tol = DEFAULT_TOLERANCES.with_overrides(**values)
     return JobConfig(command, model, theta, params, tol, raw)
 
 

@@ -10,6 +10,8 @@ import cmath
 import math
 from fractions import Fraction
 
+from .config import EM_BERNOULLI_ORDER
+
 # Even-index Bernoulli numbers B_2, B_4, ..., B_26 as exact rationals.
 _BERNOULLI = (
     Fraction(1, 6),
@@ -41,13 +43,13 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING_RADIUS = 12.0
 
 
-def hurwitz_zeta_raw(s: complex, q: complex, n_terms: int, order: int):
+def hurwitz_zeta_raw(s: complex, q: complex, n_terms: int):
     """Euler-Maclaurin continuation of sum_{n>=0} (n+q)^{-s}.
 
     Requires Re(q) > 0 and s != 1 (enforced by the caller).  ``n_terms``
-    terms are summed explicitly; ``order`` Bernoulli corrections follow the
-    integral and half terms.  Returns ``(value, error_estimate)`` where the
-    estimate is the magnitude of the first omitted correction term.
+    terms are summed explicitly; ``EM_BERNOULLI_ORDER`` Bernoulli corrections
+    follow the integral and half terms.  Returns ``(value, error_estimate)``
+    where the estimate is the magnitude of the first omitted correction term.
     """
     s = complex(s)
     q = complex(q)
@@ -63,13 +65,11 @@ def hurwitz_zeta_raw(s: complex, q: complex, n_terms: int, order: int):
     winv2 = 1.0 / (w * w)
     poch = s                       # rising factorial s^(2j-1)
     wpow = w_minus_s / w           # w^{-s-1}, i.e. exponent -s-2j+1 at j=1
-    term = 0.0 + 0.0j
-    for j in range(1, order + 1):
-        term = _EM_COEF[j - 1] * poch * wpow
-        total += term
+    for j in range(1, EM_BERNOULLI_ORDER + 1):
+        total += _EM_COEF[j - 1] * poch * wpow
         poch *= (s + (2 * j - 1)) * (s + 2 * j)
         wpow *= winv2
-    err = abs(_EM_COEF[order] * poch * wpow) if order < len(_EM_COEF) else abs(term)
+    err = abs(_EM_COEF[EM_BERNOULLI_ORDER] * poch * wpow)
     return total, err
 
 

@@ -3,18 +3,20 @@
 A spectrum stands in for an injective elliptic operator whose eigenvalues and
 algebraic multiplicities are known explicitly.  Variants:
 
-* ``Finite``        — a finite list of (value, multiplicity) pairs.
+* ``Finite``        — a finite tuple of ``Eigenvalue`` (value, multiplicity) pairs.
 * ``Lattice``       — the integer-lattice family {a + n : n in Z}, a not in Z.
 * ``QuadLattice``   — the squares {(a + n)^2}, produced by squaring a lattice.
 * ``HermQuadLattice`` — the Hermitian-Laplacian family {(n+a)(n+conj(a))}.
 * ``DirectSum``     — a disjoint union of spectra.
-* ``Restricted``    — a base spectrum with reduced per-eigenvalue multiplicities.
+* ``Restricted``    — a ``Lattice`` or ``QuadLattice`` with reduced multiplicities
+  at some indices; a finite spectrum with fewer copies is a ``Finite``.
 
 The lattice families share ``LatticeFamily``, which checks ``a`` and ``mu``
 once and derives the radius scan ``points_within`` from ``value_at`` and the
 growth order, and ``points_near`` from ``index_window``.  ``decompose`` reads
-a spectrum as families plus finite points; ``_map_spectrum`` builds its image
-under squaring or negation.  All spectra are immutable; operations are pure.
+a spectrum as families plus finite (value, multiplicity) pairs, a ``Finite``'s
+own ``eigenvalues`` among them; ``_map_spectrum`` builds its image under
+squaring or negation.  All spectra are immutable; operations are pure.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import cmath
 import math
 import operator
 import sys
+from collections import namedtuple
 from dataclasses import InitVar, dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Tuple
 
@@ -33,11 +36,11 @@ from .errors import DomainError, NotAgmonError
 _PI = math.pi
 
 
-def merge_key(z: complex, sig_digits: int = MERGE_SIGNIFICANT_DIGITS) -> Tuple[str, str]:
-    """Comparison key: both components rounded to ``sig_digits`` significant digits."""
+def merge_key(z: complex) -> Tuple[str, str]:
+    """Comparison key: both components to ``MERGE_SIGNIFICANT_DIGITS`` significant digits."""
     re = z.real + 0.0
     im = z.imag + 0.0
-    return (f"{re:.{sig_digits}g}", f"{im:.{sig_digits}g}")
+    return (f"{re:.{MERGE_SIGNIFICANT_DIGITS}g}", f"{im:.{MERGE_SIGNIFICANT_DIGITS}g}")
 
 
 def _conjugate_key(key: Tuple[str, str]) -> Tuple[str, str]:
@@ -84,17 +87,17 @@ def _check_multiplicity(m) -> None:
         raise ValueError(f"multiplicity exceeds the float range ({sys.float_info.max:.3g})")
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
-    value: complex
-    multiplicity: int = 1
+class Eigenvalue(namedtuple("Eigenvalue", "value multiplicity")):
+    """A nonzero eigenvalue and its algebraic multiplicity, as a validated pair."""
 
-    def __post_init__(self):
-        v = complex(self.value)
-        object.__setattr__(self, "value", v)
+    __slots__ = ()
+
+    def __new__(cls, value: complex, multiplicity: int = 1):
+        v = complex(value)
         if v == 0:
             raise ValueError("eigenvalues must be nonzero")
-        _check_multiplicity(self.multiplicity)
+        _check_multiplicity(multiplicity)
+        return super().__new__(cls, v, multiplicity)
 
 
 class Spectrum:
@@ -110,7 +113,7 @@ class Spectrum:
 
     def points_near(
         self, directions: Sequence[float]
-    ) -> Iterator[Tuple[complex, int]]:
+    ) -> Iterable[Tuple[complex, int]]:
         """The (value, multiplicity) pairs that decide angular questions about rays.
 
         The result holds, for each ray at one of ``directions``, the nearest
@@ -119,7 +122,7 @@ class Spectrum:
         the rays, toward a tail direction.  With ``tail_directions()`` this
         decides exactly whether a ray is free of eigenvalues, which one lies
         nearest it, and which ones a sector bounded by the rays holds.
-        Finite spectra yield every eigenvalue.
+        A ``Finite`` returns its ``eigenvalues`` tuple itself.
         """
         raise NotImplementedError
 
@@ -146,22 +149,19 @@ class Finite(Spectrum):
         if multiplicities is None:
             multiplicities = [1] * len(values)
         return Finite(
-            tuple(Eigenvalue(complex(v), m) for v, m in zip(values, multiplicities))
+            tuple(Eigenvalue(v, m) for v, m in zip(values, multiplicities))
         )
-
-    def items(self) -> Tuple[Tuple[complex, int], ...]:
-        return tuple((e.value, e.multiplicity) for e in self.eigenvalues)
 
     def points_within(self, radius):
         for e in self.eigenvalues:
             if abs(e.value) <= radius:
-                yield e.value, e.multiplicity
+                yield e
 
     def tail_directions(self):
         return ()
 
     def points_near(self, directions):
-        return self.points_within(math.inf)
+        return self.eigenvalues
 
 
 @dataclass(frozen=True)
@@ -283,50 +283,34 @@ class DirectSum(Spectrum):
 
 @dataclass(frozen=True)
 class Restricted(Spectrum):
-    """A base spectrum with per-eigenvalue sub-multiplicities.
+    """A lattice family with per-eigenvalue sub-multiplicities.
 
-    ``sub_mult`` maps an eigenvalue index to its restricted multiplicity
-    0 <= m^V <= m.  For a ``Finite`` base the index is the position in the
-    eigenvalue tuple; for lattice bases it is the integer n of a + n, with
-    unlisted indices keeping the base multiplicity.
+    ``sub_mult`` maps the index n of ``base.value_at(n)`` to its restricted
+    multiplicity 0 <= m^V <= mu; unlisted indices keep the base multiplicity.
+    The base is a ``Lattice`` or a ``QuadLattice``.
     """
 
-    base: Spectrum
+    base: LatticeFamily
     sub_mult: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        if not (isinstance(self.base, LatticeFamily) and self.base.restrictable):
+            raise TypeError("restrictions are supported over Lattice and QuadLattice bases only")
         pairs = self.sub_mult.items() if isinstance(self.sub_mult, Mapping) else self.sub_mult
-        items = tuple(sorted(tuple(p) for p in pairs))
-        object.__setattr__(self, "sub_mult", items)
-        if isinstance(self.base, Finite):
-            for idx, m in items:
-                if not 0 <= idx < len(self.base.eigenvalues):
-                    raise ValueError(f"index {idx} outside the finite base")
-                if not 0 <= m <= self.base.eigenvalues[idx].multiplicity:
-                    raise ValueError("sub-multiplicity exceeds the base multiplicity")
-        elif isinstance(self.base, LatticeFamily) and self.base.restrictable:
-            for _, m in items:
-                if not 0 <= m <= self.base.mu:
-                    raise ValueError("sub-multiplicity exceeds the base multiplicity")
-        else:
-            raise TypeError(
-                "restrictions are supported over Finite and lattice bases only"
-            )
-
-    def effective_finite(self) -> Finite:
-        if not isinstance(self.base, Finite):
-            raise TypeError("effective_finite requires a Finite base")
-        return Finite(tuple(self.points_within(math.inf)))
+        items = tuple(tuple(p) for p in pairs)
+        for n, m in items:
+            if type(n) is not int or type(m) is not int:
+                raise ValueError("restriction indices and sub-multiplicities are integers")
+            if not 0 <= m <= self.base.mu:
+                raise ValueError("sub-multiplicity exceeds the base multiplicity")
+        if len({n for n, _ in items}) != len(items):
+            raise ValueError("restriction indices are distinct")
+        object.__setattr__(self, "sub_mult", tuple(sorted(items)))
 
     def points_within(self, radius):
-        base = self.base
-        if isinstance(base, Finite):
-            points = ((i, e.value, e.multiplicity) for i, e in enumerate(base.eigenvalues))
-        else:
-            points = ((n, base.value_at(n), base.mu) for n in base.index_range(radius))
-        ov = dict(self.sub_mult)
-        for i, v, m in points:
-            m = ov.get(i, m)
+        base, ov = self.base, dict(self.sub_mult)
+        for n in base.index_range(radius):
+            v, m = base.value_at(n), ov.get(n, base.mu)
             if m > 0 and abs(v) <= radius:
                 yield v, m
 
@@ -334,9 +318,6 @@ class Restricted(Spectrum):
         return self.base.tail_directions()
 
     def points_near(self, directions):
-        if isinstance(self.base, Finite):
-            yield from self.points_within(math.inf)
-            return
         window = self.base.index_window(directions)
         if not window:
             return
@@ -358,10 +339,10 @@ def decompose(
     """The spectrum as lattice families plus finite points with signed multiplicities.
 
     Families (``Lattice``, ``QuadLattice``, ``HermQuadLattice``) come in part
-    order.  A ``Restricted`` lattice contributes its base family and the
-    corrections ``(value_at(n), m - mu)`` in ``sub_mult`` order; a
-    ``Restricted`` finite base contributes its ``effective_finite()`` points.
-    This is the one walk over ``DirectSum``, ``Restricted`` and ``Finite``.
+    order.  A ``Finite`` contributes its ``eigenvalues`` tuple itself; a
+    ``Restricted`` contributes its base family and the corrections
+    ``(value_at(n), m - mu)`` in ``sub_mult`` order.  This is the one walk
+    over ``DirectSum``, ``Restricted`` and ``Finite``.
     """
     if isinstance(spec, LatticeFamily):
         return (spec,), ()
@@ -369,10 +350,8 @@ def decompose(
         parts = [decompose(part) for part in spec.parts]
         return tuple(f for fs, _ in parts for f in fs), tuple(q for _, qs in parts for q in qs)
     if isinstance(spec, Finite):
-        return (), spec.items()
+        return (), spec.eigenvalues
     if isinstance(spec, Restricted):
-        if isinstance(spec.base, Finite):
-            return (), spec.effective_finite().items()
         base, mu = spec.base, spec.base.mu
         return (base,), tuple((base.value_at(n), m - mu) for n, m in spec.sub_mult)
     raise TypeError(f"no decomposition for {type(spec).__name__}")
@@ -489,13 +468,11 @@ def _map_spectrum(spec: Spectrum, verb: str, finite, lattice) -> Spectrum:
 
     ``finite`` maps a ``Finite`` spectrum, ``lattice`` a ``Lattice`` to its
     image family and ``reindex``, the image family's index of the image of
-    point n.  A ``Restricted`` finite base maps as its ``effective_finite()``;
-    other families are refused.
+    point n; a ``Restricted`` lattice maps as its base, re-indexed.  Other
+    families are refused.
     """
     if isinstance(spec, DirectSum):
         return DirectSum(tuple(_map_spectrum(p, verb, finite, lattice) for p in spec.parts))
-    if isinstance(spec, Restricted) and isinstance(spec.base, Finite):
-        spec = spec.effective_finite()
     if isinstance(spec, Finite):
         return finite(spec)
     base = spec.base if isinstance(spec, Restricted) else spec
@@ -517,7 +494,7 @@ def square_spectrum(spec: Spectrum) -> Spectrum:
 
     def finite(spec: Finite) -> Finite:
         acc: dict = {}
-        for v, m in spec.items():
+        for v, m in spec.eigenvalues:
             sq = _square(v)
             acc.setdefault(merge_key(sq), [sq, 0])[1] += m
         return Finite(tuple(Eigenvalue(v, m) for v, m in acc.values()), tuple(acc))
@@ -536,6 +513,6 @@ def negate_spectrum(spec: Spectrum) -> Spectrum:
     return _map_spectrum(
         spec,
         "negation",
-        lambda s: Finite(tuple(Eigenvalue(-e.value, e.multiplicity) for e in s.eigenvalues)),
+        lambda s: Finite(tuple(Eigenvalue(-v, m) for v, m in s.eigenvalues)),
         lambda f: (Lattice(-f.a, f.mu), operator.neg),
     )

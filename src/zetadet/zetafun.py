@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass
 
 from .complexcut import TAU, CutAngle, ang_dist, as_cut, log_cut, pow_cut
-from .config import AGMON_EPSILON, EM_BERNOULLI_ORDER, IMAG_AXIS, em_num_terms, explicit_terms
+from .config import AGMON_EPSILON, IMAG_AXIS, em_num_terms, explicit_terms
 from .errors import DomainError, PoleError
 from .kernels import hurwitz_zeta_raw, log_gamma
 from .spectrum import (
@@ -63,7 +63,7 @@ class ZetaResult:
 
 
 def _hz(s: complex, q: complex):
-    return hurwitz_zeta_raw(s, q, em_num_terms(s, q), EM_BERNOULLI_ORDER)
+    return hurwitz_zeta_raw(s, q, em_num_terms(s, q))
 
 
 def hurwitz_zeta(s: complex, q: complex) -> ZetaResult:
@@ -205,7 +205,7 @@ def _tail(scale: int, v2: float, w, s, errs: list) -> complex:
         c = (-1.0) ** j / j if deriv else c * ((-s - (j - 1)) / j)
         # One explicit term, not zero: perfbench counts Euler-Maclaurin terms from
         # n_terms, and its tracer test needs that count above zero on a torsion job.
-        zj, ej = hurwitz_zeta_raw(scale * s + 2 * j, w_far, 1, EM_BERNOULLI_ORDER)
+        zj, ej = hurwitz_zeta_raw(scale * s + 2 * j, w_far, 1)
         term = c * vpow * zj
         total += term
         errs.append(abs(c) * vpow * ej)

@@ -855,6 +855,14 @@ class TestCliEntry:
                 for name, value in REMOVED_TOLERANCES
             ),
             pytest.param(
+                {**_LATTICE_DET, "tolerances": {"identity_residual": -1}},
+                [], "bad-tolerances", ("identity_residual", "nonnegative"), id="negative-tolerance-in-config",
+            ),
+            pytest.param(
+                _LATTICE_DET, ["--tol-overrides", "identity_residual=-1"], "bad-tolerances",
+                ("identity_residual", "nonnegative"), id="negative-tolerance-in-overrides",
+            ),
+            pytest.param(
                 {"command": "det", "model": {"type": "finite", "eigenvalues": [{"re": 2.0, "multiplicity": 10**400}]}},
                 [], "bad-value", ("multiplicity", "float range"), id="det-huge-multiplicity",
             ),

@@ -71,15 +71,13 @@ class TestLdet:
             assert r.det != 0
 
     def test_restricted(self):
-        base = Finite((Eigenvalue(2, 2),))
-        assert ldet(Restricted(base, {0: 1}), -PI).det == pytest.approx(2)
-        base2 = Finite((Eigenvalue(2, 2), Eigenvalue(3, 1)))
-        r = ldet(Restricted(base2, {0: 0, 1: 1}), -PI)
-        assert r.det == pytest.approx(3)
+        # dropping the eigenvalue 1/2 of {1/2 + n} divides its determinant 2 by 1/2
+        r = ldet(Restricted(Lattice(0.5), {0: 0}), -PI / 2)
+        assert r.det == pytest.approx(4, abs=1e-12)
 
     def test_full_restriction_matches_base(self):
-        base = Finite((Eigenvalue(2, 2), Eigenvalue(1j, 1)))
-        sub = Restricted(base, {0: 2, 1: 1})
+        base = Lattice(0.3 + 0.2j, 2)
+        sub = Restricted(base, {0: 2, 1: 2})
         assert ldet(sub, -PI / 4).ldet == pytest.approx(
             ldet(base, -PI / 4).ldet
         )

@@ -4,13 +4,13 @@ import math
 import pytest
 
 from zetadet import kernels
-from zetadet.config import EM_BERNOULLI_ORDER, em_num_terms
+from zetadet.config import em_num_terms
 
 from helpers import direct_hurwitz_sum
 
 
 def _eval(impl, s, q):
-    return impl.hurwitz_zeta_raw(s, q, em_num_terms(s, q), EM_BERNOULLI_ORDER)
+    return impl.hurwitz_zeta_raw(s, q, em_num_terms(s, q))
 
 
 # the one kernel module is pure Python
@@ -34,8 +34,8 @@ class TestHurwitzKernel:
     def test_value_and_estimate_consistency(self, impl):
         # doubling the shift must not move the value beyond the estimate
         s, q = 0.3 + 2.0j, 0.2 + 0.9j
-        v1, e1 = impl.hurwitz_zeta_raw(s, q, 24, EM_BERNOULLI_ORDER)
-        v2, e2 = impl.hurwitz_zeta_raw(s, q, 48, EM_BERNOULLI_ORDER)
+        v1, e1 = impl.hurwitz_zeta_raw(s, q, 24)
+        v2, e2 = impl.hurwitz_zeta_raw(s, q, 48)
         assert abs(v1 - v2) <= max(e1 + e2, 1e-13)
 
     def test_zero_value_identity(self, impl):

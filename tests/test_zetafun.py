@@ -278,15 +278,6 @@ class TestEta:
             -eta_invariant(Lattice(a))
         )
 
-    def test_restricted_eta(self):
-        base = Finite((Eigenvalue(1, 2), Eigenvalue(-1, 2)))
-        sub = Restricted(base, {0: 1, 1: 0})
-        assert eta_invariant(sub) == pytest.approx(0.5)
-        full = Restricted(base, {0: 2, 1: 2})
-        assert eta_invariant(full) == pytest.approx(eta_invariant(base))
-        empty = Restricted(base, {0: 0, 1: 0})
-        assert eta_invariant(empty) == pytest.approx(0)
-
     def test_restricted_lattice_eta(self):
         base = Lattice(0.25, 2)
         sub = Restricted(base, {0: 1})  # eigenvalue 1/4 loses one copy
