@@ -43,6 +43,7 @@ from .spectrum import (
     Spectrum,
     dist_to_integers,
     square_spectrum,
+    _check_multiplicity,
     _normalize_log_param,
 )
 from .zetafun import eta_invariant, zeta_ds_at_zero
@@ -61,20 +62,16 @@ class CircleModel:
     log_params: Tuple[Tuple[complex, int], ...]
 
     def __post_init__(self):
-        lp = tuple((complex(a), int(m)) for a, m in self.log_params)
+        lp = tuple((complex(a), m) for a, m in self.log_params)
         object.__setattr__(self, "log_params", lp)
         if not lp:
             raise ValueError("model requires at least one log parameter")
-        for a, m in lp:
-            if m < 1:
-                raise ValueError("multiplicities are positive")
+        for _, m in lp:
+            _check_multiplicity(m)
 
     def spectrum(self) -> Spectrum:
         parts = tuple(Lattice(a, m) for a, m in self.log_params)
         return parts[0] if len(parts) == 1 else DirectSum(parts)
-
-    def rank(self) -> int:
-        return sum(m for _, m in self.log_params)
 
     def representation(self) -> np.ndarray:
         """Diagonal loop representation exp(2*pi*i*a_j), per multiplicity."""

@@ -4,8 +4,8 @@ A spectral cut is the ray R_theta = {rho * e^{i*theta} : rho >= 0}.  The cut
 logarithm ``log_cut`` returns the branch with imaginary part in the open
 window (theta, theta + 2*pi); ``pow_cut`` builds the complex powers
 lambda^{-s} used by spectral zeta functions.  ``Sector`` models solid angles
-with per-endpoint openness, used for Agmon certification and theorem
-hypothesis checks.
+with per-endpoint openness; a theorem hypothesis error names the one it found
+an eigenvalue in.
 """
 
 from __future__ import annotations
@@ -65,11 +65,10 @@ def phase(z: complex) -> float:
     return math.atan2(z.imag, z.real)
 
 
-def log_cut(lam: complex, theta, on_cut_tol: float = 0.0) -> complex:
+def log_cut(lam: complex, theta) -> complex:
     """Branch of log(lam) with imaginary part in (theta, theta + 2*pi).
 
-    Raises ZeroInputError for lam = 0 and OnCutError when the argument of lam
-    is within ``on_cut_tol`` of the cut direction (exact hit for tol = 0).
+    Raises ZeroInputError for lam = 0 and OnCutError when lam lies on the cut ray.
     """
     lam = complex(lam)
     if lam == 0:
@@ -77,10 +76,8 @@ def log_cut(lam: complex, theta, on_cut_tol: float = 0.0) -> complex:
     cut = as_cut(theta)
     th = cut.normalized
     arg = phase(lam)
-    if ang_dist(arg, th) <= on_cut_tol:
-        raise OnCutError(
-            f"{lam} lies on the cut ray at angle {th} (tol {on_cut_tol})"
-        )
+    if ang_dist(arg, th) == 0.0:
+        raise OnCutError(f"{lam} lies on the cut ray at angle {th}")
     k = math.ceil((th - arg) / TAU)
     alpha = arg + TAU * k
     # floating-point guard: keep alpha strictly inside (th, th + 2*pi)
@@ -91,9 +88,9 @@ def log_cut(lam: complex, theta, on_cut_tol: float = 0.0) -> complex:
     return complex(math.log(abs(lam)), alpha)
 
 
-def pow_cut(lam: complex, s: complex, theta, on_cut_tol: float = 0.0) -> complex:
+def pow_cut(lam: complex, s: complex, theta) -> complex:
     """lambda^{-s} along the cut: exp(-s * log_cut(lam, theta))."""
-    return cmath.exp(-complex(s) * log_cut(lam, theta, on_cut_tol))
+    return cmath.exp(-complex(s) * log_cut(lam, theta))
 
 
 @dataclass(frozen=True)

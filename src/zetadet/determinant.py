@@ -91,23 +91,28 @@ def graded_ldet(gspec: GradedSpectrum, theta) -> LDetResult:
     return LDetResult(total, cmath.exp(total), cut)
 
 
+def _hypothesis_direction(v: complex) -> float:
+    """The direction of v, shifted by -pi from the second quadrant.
+
+    v lies in (-pi/2, theta] or (pi/2, theta + pi] for a theta in (-pi/2, 0)
+    exactly when its hypothesis direction lies in (-pi/2, theta].
+    """
+    d = phase(v)
+    return d - _PI if _PI / 2.0 < d < _PI else d
+
+
 def pick_det_eta_cut(spec: Spectrum) -> CutAngle:
     """Cut in (-pi/2, 0) whose determinant/eta hypothesis sectors are empty.
 
-    Places the cut halfway between -pi/2 and the lowest eigenvalue direction
-    in (-pi/2, 0), fourth-quadrant directions and second-quadrant directions
-    (shifted by pi) alike.  The lowest direction belongs to an eigenvalue
-    next to the imaginary axis, so only those are examined.
+    Places the cut halfway between -pi/2 and the least hypothesis direction
+    in (-pi/2, 0).  That direction belongs to an eigenvalue next to the
+    imaginary axis, so only those are examined.
     """
     upper = 0.0
-    for v, m in spec.points_near((-_PI / 2.0, _PI / 2.0)):
-        if m <= 0:
-            continue
-        d = phase(v)
-        if -_PI / 2.0 < d < 0.0:
-            upper = min(upper, d)
-        elif _PI / 2.0 < d < _PI:
-            upper = min(upper, d - _PI)
+    for v, _ in spec.points_near((-_PI / 2.0, _PI / 2.0)):
+        d = _hypothesis_direction(v)
+        if -_PI / 2.0 < d < upper:
+            upper = d
     if upper - (-_PI / 2.0) < 1e-6:
         raise NotAgmonError(
             message="no admissible cut in (-pi/2, 0) for this spectrum"
@@ -116,23 +121,15 @@ def pick_det_eta_cut(spec: Spectrum) -> CutAngle:
 
 
 def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
-    """No eigenvalues in the solid angles (-pi/2, theta] and (pi/2, theta+pi]."""
-    sectors = (
-        Sector(-_PI / 2.0, theta_val, hi_closed=True),
-        Sector(_PI / 2.0, theta_val + _PI, hi_closed=True),
-    )
-    for sector in sectors:
-        for d in spec.tail_directions():
-            if sector.contains_direction(d):
-                raise HypothesisViolatedError(sector, f"tail near {d}")
-    # one pass and one phase per point: both sectors test the same direction
-    bounds = (-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)
-    for v, m in spec.points_near(bounds):
-        if m > 0 and v != 0:
-            d = phase(v)
-            for sector in sectors:
-                if sector.contains_direction(d):
-                    raise HypothesisViolatedError(sector, v)
+    """No eigenvalues in the solid angles (-pi/2, theta] and (pi/2, theta+pi].
+
+    ``theta_val`` lies in (-pi/2, 0), so both sectors miss the tails at 0 and pi.
+    """
+    for v, _ in spec.points_near((-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)):
+        if -_PI / 2.0 < _hypothesis_direction(v) <= theta_val:
+            sector = (Sector(_PI / 2.0, theta_val + _PI, hi_closed=True) if v.imag > 0
+                      else Sector(-_PI / 2.0, theta_val, hi_closed=True))
+            raise HypothesisViolatedError(sector, v)
 
 
 def _cut_in_range(theta, caller: str) -> CutAngle:
@@ -230,16 +227,24 @@ def verify_det_eta_upper(spec: Spectrum, theta) -> DetEtaReport:
     return _identity(lhs, _square_side(spec, cut), upper=True)
 
 
+def _turns(d: float, lo: float, hi: float) -> int:
+    """The number of integers k with d + 2*pi*k in [lo, hi]: how often a sweep passes d."""
+    t = lo + math.fmod(d - lo, 2.0 * _PI)
+    if t < lo:
+        t += 2.0 * _PI
+    return 0 if t > hi else 1 + math.floor((hi - t) / (2.0 * _PI))
+
+
 def angle_shift_count(
     spec: Spectrum,
     theta1,
     theta2,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> int:
-    """Total multiplicity swept between two Agmon cuts.
+    """Total multiplicity swept between two Agmon cuts, once per turn that passes a point.
 
-    Also verifies zeta'_{theta1}(0) - zeta'_{theta2}(0) = 2*pi*i*k and the
-    equality of the two determinants.
+    Also verifies zeta'_{lo}(0) - zeta'_{hi}(0) = 2*pi*i*k, lo and hi the lower
+    and the upper of the two cuts, and the equality of the two determinants.
     """
     c1 = as_cut(theta1)
     c2 = as_cut(theta2)
@@ -248,21 +253,11 @@ def angle_shift_count(
     certify_agmon(spec, c2, AGMON_EPSILON)
 
     for d in spec.tail_directions():
-        t = lo + math.fmod(d - lo, 2.0 * _PI)
-        if t < lo:
-            t += 2.0 * _PI
-        if t <= hi:
+        if _turns(d, lo, hi):
             raise InfiniteCrossingError(
                 f"lattice tail direction {d} lies in the swept sector"
             )
-    count = 0
-    for v, m in spec.points_near((lo, hi)):
-        d = phase(v)
-        t = lo + math.fmod(d - lo, 2.0 * _PI)
-        if t < lo:
-            t += 2.0 * _PI
-        if t <= hi:
-            count += m
+    count = sum(m * _turns(phase(v), lo, hi) for v, m in spec.points_near((lo, hi)))
 
     d1 = zeta_ds_at_zero(spec, CutAngle(lo))
     d2 = zeta_ds_at_zero(spec, CutAngle(hi))

@@ -12,7 +12,7 @@ class ZeroInputError(ZetaDetError):
 
 
 class OnCutError(ZetaDetError):
-    """The point lies on the spectral-cut ray (within the angular tolerance)."""
+    """The point lies on the spectral-cut ray."""
 
 
 class DomainError(ZetaDetError):

@@ -81,19 +81,21 @@ def _line_window(a: complex, directions: Iterable[float]) -> range:
 
 
 def _check_multiplicity(m) -> None:
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("multiplicity must be a positive integer")
     if m > sys.float_info.max:
         raise ValueError(f"multiplicity exceeds the float range ({sys.float_info.max:.3g})")
 
 
 class Eigenvalue(namedtuple("Eigenvalue", "value multiplicity")):
-    """A nonzero eigenvalue and its algebraic multiplicity, as a validated pair."""
+    """A finite nonzero eigenvalue and its algebraic multiplicity, as a validated pair."""
 
     __slots__ = ()
 
     def __new__(cls, value: complex, multiplicity: int = 1):
         v = complex(value)
+        if not cmath.isfinite(v):
+            raise ValueError(f"eigenvalue {v} is not finite")
         if v == 0:
             raise ValueError("eigenvalues must be nonzero")
         _check_multiplicity(multiplicity)
@@ -122,7 +124,8 @@ class Spectrum:
         the rays, toward a tail direction.  With ``tail_directions()`` this
         decides exactly whether a ray is free of eigenvalues, which one lies
         nearest it, and which ones a sector bounded by the rays holds.
-        A ``Finite`` returns its ``eigenvalues`` tuple itself.
+        Only points of positive multiplicity are yielded; a ``Finite`` returns
+        its ``eigenvalues`` tuple itself.
         """
         raise NotImplementedError
 
@@ -182,6 +185,8 @@ class LatticeFamily(Spectrum):
 
     def __post_init__(self):
         a = complex(self.a)
+        if not cmath.isfinite(a):
+            raise ValueError(f"lattice parameter {a} is not finite")
         if self.order == 2:
             a, _ = _normalize_log_param(a)
         object.__setattr__(self, "a", a)
@@ -311,7 +316,7 @@ class Restricted(Spectrum):
         base, ov = self.base, dict(self.sub_mult)
         for n in base.index_range(radius):
             v, m = base.value_at(n), ov.get(n, base.mu)
-            if m > 0 and abs(v) <= radius:
+            if m and abs(v) <= radius:
                 yield v, m
 
     def tail_directions(self):
@@ -330,7 +335,9 @@ class Restricted(Spectrum):
         while ov.get(hi, mu) == 0:
             hi += 1
         for n in range(lo, hi + 1):
-            yield self.base.value_at(n), ov.get(n, mu)
+            m = ov.get(n, mu)
+            if m:
+                yield self.base.value_at(n), m
 
 
 def decompose(
@@ -397,9 +404,7 @@ def certify_agmon(spec: Spectrum, theta, epsilon: float) -> AgmonCertificate:
             raise NotAgmonError(
                 message=f"lattice tail direction {d} approaches the cut at {th}"
             )
-    for value, m in spec.points_near((th,)):
-        if m <= 0:
-            continue
+    for value, _ in spec.points_near((th,)):
         if ang_dist(phase(value), th) <= epsilon:
             raise NotAgmonError(witness=value)
     return AgmonCertificate(cut, epsilon)

@@ -75,6 +75,11 @@ class TestBuild:
         with pytest.raises(NonAcyclicError):
             build_from_monodromy(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("m", [1.5, True, 0])
+    def test_model_multiplicity_is_a_positive_integer(self, m):
+        with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+            CircleModel(((0.3, m),))
+
     def test_repeated_eigenvalues_merge(self):
         model = build_from_monodromy(np.diag([-1.0, -1.0]))
         (a, m), = model.log_params

@@ -144,7 +144,8 @@ def test_edge_jobs_are_recorded_with_positive_zeros(tmp_path, monkeypatch):
 def test_constant_jobs_fall_on_their_sides(tmp_path, monkeypatch):
     from zetadet import Finite, square_spectrum
 
-    recs = _edge_records(tmp_path, monkeypatch)[len(cli_outputs.ZERO_JOBS):]
+    start = len(cli_outputs.ZERO_JOBS)
+    recs = _edge_records(tmp_path, monkeypatch)[start:start + len(cli_outputs.CONSTANT_JOBS)]
     codes = [json.loads(r["stderr"])["error"]["code"] if r["exit"] == 2 else r["exit"] for r in recs]
     assert codes == [0, "NonAcyclic", 0, "NotAgmon", 0, 0, 0, 0]
     # on the axis: 5e-13 +- i, counted in m_+ and m_-; off it: 2e-12 +- i, in eta(0)
@@ -153,3 +154,12 @@ def test_constant_jobs_fall_on_their_sides(tmp_path, monkeypatch):
     for job, merged in zip(cli_outputs.CONSTANT_JOBS[5:], (True, True, False)):
         spec = Finite.of(*(complex(e["re"], e["im"]) for e in job["model"]["eigenvalues"]))
         assert len(square_spectrum(spec).eigenvalues) == (1 if merged else 2)
+
+
+def test_hypothesis_jobs_name_their_witness(tmp_path, monkeypatch):
+    recs = _edge_records(tmp_path, monkeypatch)[-len(cli_outputs.HYPOTHESIS_JOBS):]
+    errors = [json.loads(r["stderr"])["error"] for r in recs]
+    assert [(r["exit"], e["code"]) for r, e in zip(recs, errors)] == [(2, "HypothesisViolated")] * 2
+    # the first point listed is the witness: Sector(lo=-pi/2, ...) then Sector(lo=pi/2, ...)
+    assert errors[0]["message"].startswith("eigenvalue (0.5349961-1.9271156j) lies in the hypothesis sector Sector(lo=-1.57")
+    assert errors[1]["message"].startswith("eigenvalue (-0.8322937+1.8185949j) lies in the hypothesis sector Sector(lo=1.57")

@@ -236,6 +236,14 @@ class TestAngleShift:
     def test_empty_sweep(self):
         assert angle_shift_count(Finite.of(1), -PI / 4, -PI / 3) == 0
 
+    def test_point_swept_twice_counts_twice(self):
+        # the sweep [-1.9 pi, 1.9 pi] passes the direction pi/2 at -3 pi/2 and at pi/2
+        assert angle_shift_count(Finite.of(2j), -1.9 * PI, 1.9 * PI) == 2
+
+    def test_sweep_wider_than_a_turn(self):
+        # [-0.6 pi, 1.6 pi] passes -pi/2 twice (at -pi/2 and 3 pi/2) and pi/2 once
+        assert angle_shift_count(Finite.of(2j, -2j), -0.6 * PI, 1.6 * PI) == 3
+
     def test_lattice_no_crossing(self):
         assert angle_shift_count(Lattice(0.5), -PI / 4, -3 * PI / 4) == 0
 

@@ -99,6 +99,17 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             Eigenvalue(1.0, 0)
 
+    def test_boolean_multiplicity_refused(self):
+        for make in (lambda: Eigenvalue(2.0, True), lambda: Lattice(0.3, True)):
+            with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+                make()
+
+    @pytest.mark.parametrize("v", [complex("nan"), complex(math.inf, 0.0), complex(0.3, math.inf)])
+    def test_non_finite_value_refused(self, v):
+        for make, what in ((Eigenvalue, "eigenvalue"), (Lattice, "lattice parameter"), (QuadLattice, "lattice parameter")):
+            with pytest.raises(ValueError, match=f"{what} .* is not finite"):
+                make(v)
+
     def test_multiplicity_beyond_float_range_refused(self):
         for make in (lambda: Eigenvalue(2.0, 10**400), lambda: Lattice(0.3, 10**400)):
             with pytest.raises(ValueError, match="multiplicity exceeds the float range"):
