@@ -44,6 +44,7 @@ from .spectrum import (
     dist_to_integers,
     square_spectrum,
     _check_multiplicity,
+    _finite_parameter,
     _normalize_log_param,
 )
 from .zetafun import eta_invariant, zeta_ds_at_zero
@@ -62,7 +63,7 @@ class CircleModel:
     log_params: Tuple[Tuple[complex, int], ...]
 
     def __post_init__(self):
-        lp = tuple((complex(a), m) for a, m in self.log_params)
+        lp = tuple((_finite_parameter(a), m) for a, m in self.log_params)
         object.__setattr__(self, "log_params", lp)
         if not lp:
             raise ValueError("model requires at least one log parameter")

@@ -32,7 +32,7 @@ from .complexcut import CutAngle
 from .config import CR_MAX_STEP, DEFAULT_TOLERANCES, MAX_SCAN_POINTS, MIN_ODE_STEPS, Tolerances
 from .determinant import ldet, verify_spectrum
 from .errors import SchemaError, ZetaDetError
-from .spectrum import Eigenvalue, Finite, Lattice, Spectrum
+from .spectrum import Finite, Lattice, Spectrum
 from .zetafun import eta_invariant, spectral_zeta
 
 SCHEMA_VERSION = 1
@@ -152,23 +152,34 @@ def parse_config(raw: dict) -> JobConfig:
     return JobConfig(command, model, theta, params, tol, raw)
 
 
+_EIGENVALUE_KEYS = frozenset(("re", "im", "multiplicity"))
+
+
+def _eigenvalue(e) -> tuple[complex, int]:
+    """An eigenvalue object's (value, multiplicity), schema checked; ``Finite`` checks the value next.
+
+    Finite floats and an integer multiplicity of at least 1 skip ``_as_real`` and ``_as_int``.
+    """
+    if not isinstance(e, dict):
+        _fail("bad-model", "eigenvalues are {re, im[, multiplicity]} objects")
+    if not e.keys() <= _EIGENVALUE_KEYS:
+        _fail("bad-model", f"unknown eigenvalue keys: {sorted(e.keys() - _EIGENVALUE_KEYS)}")
+    re, im, m = e.get("re", 0.0), e.get("im", 0.0), e.get("multiplicity", 1)
+    if not (type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im)):
+        re = _as_real(re, "bad-complex", "eigenvalue: re")
+        im = _as_real(im, "bad-complex", "eigenvalue: im")
+    if not (type(m) is int and m >= 1):
+        m = _as_int(m, "bad-model", "multiplicity", 1)
+    return complex(re, im), m
+
+
 def _build_spectrum(model: dict) -> Spectrum:
     kind = model.get("type")
     if kind == "finite":
         evs = model.get("eigenvalues")
         if not isinstance(evs, list) or not evs:
             _fail("bad-model", "finite model needs a nonempty eigenvalue list")
-        pairs = []
-        for e in evs:
-            if not isinstance(e, dict):
-                _fail("bad-model", "eigenvalues are {re, im[, multiplicity]} objects")
-            unknown = e.keys() - {"re", "im", "multiplicity"}
-            if unknown:
-                _fail("bad-model", f"unknown eigenvalue keys: {sorted(unknown)}")
-            re = _as_real(e.get("re", 0.0), "bad-complex", "eigenvalue: re")
-            v = complex(re, _as_real(e.get("im", 0.0), "bad-complex", "eigenvalue: im"))
-            pairs.append(Eigenvalue(v, _as_int(e.get("multiplicity", 1), "bad-model", "multiplicity", 1)))
-        return Finite(tuple(pairs))
+        return Finite(map(_eigenvalue, evs))
     if kind == "lattice":
         a = _as_complex(model.get("a"), "lattice a")
         return Lattice(a, _as_int(model.get("mu", 1), "bad-model", "lattice mu", 1))

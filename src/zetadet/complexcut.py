@@ -3,9 +3,13 @@
 A spectral cut is the ray R_theta = {rho * e^{i*theta} : rho >= 0}.  The cut
 logarithm ``log_cut`` returns the branch with imaginary part in the open
 window (theta, theta + 2*pi); ``pow_cut`` builds the complex powers
-lambda^{-s} used by spectral zeta functions.  ``Sector`` models solid angles
-with per-endpoint openness; a theorem hypothesis error names the one it found
-an eigenvalue in.
+lambda^{-s} used by spectral zeta functions.  ``log_cut`` is log|lambda| plus
+i times its polar core ``branch_angle``, which places a given phase in the
+window and refuses a point on the cut.  A sum over many points reads the cut
+angle once and calls ``log_at``, or the core alone for points whose phase and
+log-modulus it already holds (a finite spectrum keeps both).  ``Sector``
+models solid angles with per-endpoint openness; a theorem hypothesis error
+names the one it found an eigenvalue in.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def ang_dist(alpha: float, beta: float) -> float:
     d = math.fmod(alpha - beta, TAU)
     if d < 0.0:
         d += TAU
-    return min(d, TAU - d)
+    e = TAU - d
+    return e if e < d else d
 
 
 def phase(z: complex) -> float:
@@ -65,27 +70,37 @@ def phase(z: complex) -> float:
     return math.atan2(z.imag, z.real)
 
 
-def log_cut(lam: complex, theta) -> complex:
-    """Branch of log(lam) with imaginary part in (theta, theta + 2*pi).
+def branch_angle(lam: complex, arg: float, th: float) -> float:
+    """Im log_cut(lam, th) from arg = phase(lam), th a normalized cut angle: the polar core.
 
-    Raises ZeroInputError for lam = 0 and OnCutError when lam lies on the cut ray.
+    Shifts arg by ceil((th - arg) / 2*pi) turns into (th, th + 2*pi).  Raises
+    OnCutError, naming the nonzero point lam, when it lies on the cut ray.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise ZeroInputError("log_cut requires a nonzero argument")
-    cut = as_cut(theta)
-    th = cut.normalized
-    arg = phase(lam)
     if ang_dist(arg, th) == 0.0:
         raise OnCutError(f"{lam} lies on the cut ray at angle {th}")
-    k = math.ceil((th - arg) / TAU)
-    alpha = arg + TAU * k
+    alpha = arg + TAU * math.ceil((th - arg) / TAU)
     # floating-point guard: keep alpha strictly inside (th, th + 2*pi)
     if alpha <= th:
         alpha += TAU
     elif alpha > th + TAU:
         alpha -= TAU
+    return alpha
+
+
+def log_at(lam: complex, th: float) -> complex:
+    """``log_cut`` of a complex lam at a normalized cut angle th: log|lam| + i*branch_angle."""
+    if lam == 0:
+        raise ZeroInputError("log_cut requires a nonzero argument")
+    alpha = branch_angle(lam, phase(lam), th)
     return complex(math.log(abs(lam)), alpha)
+
+
+def log_cut(lam: complex, theta) -> complex:
+    """Branch of log(lam) with imaginary part in (theta, theta + 2*pi).
+
+    Raises ZeroInputError for lam = 0 and OnCutError when lam lies on the cut ray.
+    """
+    return log_at(complex(lam), as_cut(theta).normalized)
 
 
 def pow_cut(lam: complex, s: complex, theta) -> complex:

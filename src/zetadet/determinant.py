@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .complexcut import CutAngle, Sector, as_cut, phase
+from .complexcut import CutAngle, Sector, as_cut
 from .config import AGMON_EPSILON, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     HypothesisViolatedError,
@@ -91,13 +91,12 @@ def graded_ldet(gspec: GradedSpectrum, theta) -> LDetResult:
     return LDetResult(total, cmath.exp(total), cut)
 
 
-def _hypothesis_direction(v: complex) -> float:
-    """The direction of v, shifted by -pi from the second quadrant.
+def _hypothesis_direction(d: float) -> float:
+    """A point's phase d, shifted by -pi from the second quadrant.
 
-    v lies in (-pi/2, theta] or (pi/2, theta + pi] for a theta in (-pi/2, 0)
-    exactly when its hypothesis direction lies in (-pi/2, theta].
+    The point lies in (-pi/2, theta] or (pi/2, theta + pi] for a theta in
+    (-pi/2, 0) exactly when its hypothesis direction lies in (-pi/2, theta].
     """
-    d = phase(v)
     return d - _PI if _PI / 2.0 < d < _PI else d
 
 
@@ -109,8 +108,8 @@ def pick_det_eta_cut(spec: Spectrum) -> CutAngle:
     imaginary axis, so only those are examined.
     """
     upper = 0.0
-    for v, _ in spec.points_near((-_PI / 2.0, _PI / 2.0)):
-        d = _hypothesis_direction(v)
+    for _, arg in spec.phases_near((-_PI / 2.0, _PI / 2.0)):
+        d = _hypothesis_direction(arg)
         if -_PI / 2.0 < d < upper:
             upper = d
     if upper - (-_PI / 2.0) < 1e-6:
@@ -125,8 +124,8 @@ def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
 
     ``theta_val`` lies in (-pi/2, 0), so both sectors miss the tails at 0 and pi.
     """
-    for v, _ in spec.points_near((-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)):
-        if -_PI / 2.0 < _hypothesis_direction(v) <= theta_val:
+    for (v, _), arg in spec.phases_near((-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)):
+        if -_PI / 2.0 < _hypothesis_direction(arg) <= theta_val:
             sector = (Sector(_PI / 2.0, theta_val + _PI, hi_closed=True) if v.imag > 0
                       else Sector(-_PI / 2.0, theta_val, hi_closed=True))
             raise HypothesisViolatedError(sector, v)
@@ -257,7 +256,7 @@ def angle_shift_count(
             raise InfiniteCrossingError(
                 f"lattice tail direction {d} lies in the swept sector"
             )
-    count = sum(m * _turns(phase(v), lo, hi) for v, m in spec.points_near((lo, hi)))
+    count = sum(m * _turns(arg, lo, hi) for (_, m), arg in spec.phases_near((lo, hi)))
 
     d1 = zeta_ds_at_zero(spec, CutAngle(lo))
     d2 = zeta_ds_at_zero(spec, CutAngle(hi))
@@ -298,8 +297,10 @@ def verify_spectrum(
 
     The range and sector checks, LDet_theta(D), the square side and the
     symmetry test are computed once.  Errors come as from the three verifiers
-    run in that order.  A finite eigenvalue gets three ``log_cut``s and Agmon
-    tests (D at theta and theta - pi, D^2 at 2*theta) and one sector phase.
+    run in that order.  A finite eigenvalue's phase and log-modulus are taken
+    once, for D and for D^2, by ``Finite``; the sector check, the three Agmon
+    tests and the three branch shifts of ``branch_angle`` (D at theta and
+    theta - pi, D^2 at 2*theta) read them.
     """
     cut = _cut_in_range(theta, "verify_det_eta")
     _check_hypothesis_sectors(spec, cut.normalized)

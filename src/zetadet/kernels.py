@@ -8,35 +8,35 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .config import EM_BERNOULLI_ORDER
 
-# Even-index Bernoulli numbers B_2, B_4, ..., B_26 as exact rationals.
+# Even-index Bernoulli numbers B_2, B_4, ..., B_26 as exact (numerator, denominator) pairs.
 _BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
+    (8553103, 6),
 )
 
-# B_{2k} / (2k)! for the Euler-Maclaurin correction terms.
+# B_{2k} / (2k)! for the Euler-Maclaurin correction terms; integer true division
+# rounds the exact quotient once.
 _EM_COEF = tuple(
-    float(b / math.factorial(2 * (k + 1))) for k, b in enumerate(_BERNOULLI)
+    p / (q * math.factorial(2 * (k + 1))) for k, (p, q) in enumerate(_BERNOULLI)
 )
 
 # B_{2k} / (2k * (2k - 1)) for the Stirling series.
 _STIRLING_COEF = tuple(
-    float(b / ((2 * (k + 1)) * (2 * (k + 1) - 1))) for k, b in enumerate(_BERNOULLI)
+    p / (q * (2 * (k + 1)) * (2 * (k + 1) - 1)) for k, (p, q) in enumerate(_BERNOULLI)
 )
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)

@@ -3,7 +3,8 @@
 A spectrum stands in for an injective elliptic operator whose eigenvalues and
 algebraic multiplicities are known explicitly.  Variants:
 
-* ``Finite``        — a finite tuple of ``Eigenvalue`` (value, multiplicity) pairs.
+* ``Finite``        — a finite tuple of ``Eigenvalue`` (value, multiplicity) pairs,
+  each with its polar form (log|lambda|, arg lambda) and merge key.
 * ``Lattice``       — the integer-lattice family {a + n : n in Z}, a not in Z.
 * ``QuadLattice``   — the squares {(a + n)^2}, produced by squaring a lattice.
 * ``HermQuadLattice`` — the Hermitian-Laplacian family {(n+a)(n+conj(a))}.
@@ -16,7 +17,9 @@ once and derives the radius scan ``points_within`` from ``value_at`` and the
 growth order, and ``points_near`` from ``index_window``.  ``decompose`` reads
 a spectrum as families plus finite (value, multiplicity) pairs, a ``Finite``'s
 own ``eigenvalues`` among them; ``_map_spectrum`` builds its image under
-squaring or negation.  All spectra are immutable; operations are pure.
+squaring or negation.  ``phases_near`` pairs the points of ``points_near``
+with their phases, which a ``Finite`` reads from its polar form.  All
+spectra are immutable; operations are pure.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ from .config import IMAG_AXIS, MERGE_SIGNIFICANT_DIGITS
 from .errors import DomainError, NotAgmonError
 
 _PI = math.pi
+_LOG_2 = math.log(2.0)
+_FLOAT_MAX = sys.float_info.max
+_MERGE_SPEC = f".{MERGE_SIGNIFICANT_DIGITS}g"
 
 
 def merge_key(z: complex) -> Tuple[str, str]:
     """Comparison key: both components to ``MERGE_SIGNIFICANT_DIGITS`` significant digits."""
-    re = z.real + 0.0
-    im = z.imag + 0.0
-    return (f"{re:.{MERGE_SIGNIFICANT_DIGITS}g}", f"{im:.{MERGE_SIGNIFICANT_DIGITS}g}")
+    return (f"{z.real + 0.0:{_MERGE_SPEC}}", f"{z.imag + 0.0:{_MERGE_SPEC}}")
 
 
 def _conjugate_key(key: Tuple[str, str]) -> Tuple[str, str]:
@@ -80,11 +84,31 @@ def _line_window(a: complex, directions: Iterable[float]) -> range:
     return range(min(ks) - 1, max(ks) + 3)
 
 
+def _finite_parameter(a) -> complex:
+    """complex(a), refused unless finite: the check every lattice parameter meets."""
+    a = complex(a)
+    if not cmath.isfinite(a):
+        raise ValueError(f"lattice parameter {a} is not finite")
+    return a
+
+
 def _check_multiplicity(m) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("multiplicity must be a positive integer")
-    if m > sys.float_info.max:
-        raise ValueError(f"multiplicity exceeds the float range ({sys.float_info.max:.3g})")
+    if m > _FLOAT_MAX:
+        raise ValueError(f"multiplicity exceeds the float range ({_FLOAT_MAX:.3g})")
+
+
+def _checked_pair(value, multiplicity=1) -> Tuple[complex, int]:
+    """(complex(value), multiplicity) once both are checked: a finite nonzero value, a positive integer."""
+    v = complex(value)
+    if not cmath.isfinite(v):
+        raise ValueError(f"eigenvalue {v} is not finite")
+    if v == 0:
+        raise ValueError("eigenvalues must be nonzero")
+    if type(multiplicity) is not int or not 0 < multiplicity <= _FLOAT_MAX:
+        _check_multiplicity(multiplicity)
+    return v, multiplicity
 
 
 class Eigenvalue(namedtuple("Eigenvalue", "value multiplicity")):
@@ -93,13 +117,7 @@ class Eigenvalue(namedtuple("Eigenvalue", "value multiplicity")):
     __slots__ = ()
 
     def __new__(cls, value: complex, multiplicity: int = 1):
-        v = complex(value)
-        if not cmath.isfinite(v):
-            raise ValueError(f"eigenvalue {v} is not finite")
-        if v == 0:
-            raise ValueError("eigenvalues must be nonzero")
-        _check_multiplicity(multiplicity)
-        return super().__new__(cls, v, multiplicity)
+        return tuple.__new__(cls, _checked_pair(value, multiplicity))
 
 
 class Spectrum:
@@ -129,21 +147,42 @@ class Spectrum:
         """
         raise NotImplementedError
 
+    def phases_near(self, directions: Sequence[float]) -> Iterable[Tuple[Tuple[complex, int], float]]:
+        """Each pair of ``points_near(directions)`` with its value's phase."""
+        return [(p, phase(p[0])) for p in self.points_near(directions)]
+
 
 @dataclass(frozen=True)
 class Finite(Spectrum):
-    """Distinct eigenvalues; ``keys``: their ``merge_key``s, given as ``merge_keys`` or formatted."""
+    """Distinct eigenvalues, each with its polar form and merge key.
+
+    One pass over the given (value, multiplicity) pairs checks each pair that
+    is not an ``Eigenvalue`` yet, and takes its polar form, ``log_moduli``
+    log|lambda| (of lambda/2 when |lambda| overflows) and ``phases`` arg
+    lambda, and its ``keys`` entry unless ``merge_keys`` are given.
+    """
 
     eigenvalues: Tuple[Eigenvalue, ...]
     merge_keys: InitVar[Tuple[Tuple[str, str], ...] | None] = None
 
     def __post_init__(self, merge_keys):
-        evs = tuple(
-            e if isinstance(e, Eigenvalue) else Eigenvalue(*e) for e in self.eigenvalues
-        )
-        object.__setattr__(self, "eigenvalues", evs)
-        keys = tuple(merge_key(e.value) for e in evs) if merge_keys is None else merge_keys
-        object.__setattr__(self, "keys", keys)
+        evs, log_moduli, phases, keys = [], [], [], []
+        for e in self.eigenvalues:
+            if not isinstance(e, Eigenvalue):
+                e = tuple.__new__(Eigenvalue, _checked_pair(*e))
+            v = e[0]
+            try:
+                log_moduli.append(math.log(abs(v)))
+            except OverflowError:
+                log_moduli.append(math.log(abs(0.5 * v)) + _LOG_2)
+            phases.append(phase(v))
+            evs.append(e)
+            if merge_keys is None:
+                keys.append(merge_key(v))
+        keys = tuple(keys) if merge_keys is None else merge_keys
+        for name, value in (("eigenvalues", tuple(evs)), ("log_moduli", tuple(log_moduli)),
+                            ("phases", tuple(phases)), ("keys", keys)):
+            object.__setattr__(self, name, value)
         if len(set(keys)) != len(keys):
             raise ValueError("finite spectra carry distinct eigenvalues")
 
@@ -152,7 +191,7 @@ class Finite(Spectrum):
         if multiplicities is None:
             multiplicities = [1] * len(values)
         return Finite(
-            tuple(Eigenvalue(v, m) for v, m in zip(values, multiplicities))
+            tuple(Eigenvalue(v, m) for v, m in zip(values, multiplicities, strict=True))
         )
 
     def points_within(self, radius):
@@ -165,6 +204,9 @@ class Finite(Spectrum):
 
     def points_near(self, directions):
         return self.eigenvalues
+
+    def phases_near(self, directions):
+        return zip(self.eigenvalues, self.phases)
 
 
 @dataclass(frozen=True)
@@ -184,9 +226,7 @@ class LatticeFamily(Spectrum):
     restrictable: ClassVar[bool] = True
 
     def __post_init__(self):
-        a = complex(self.a)
-        if not cmath.isfinite(a):
-            raise ValueError(f"lattice parameter {a} is not finite")
+        a = _finite_parameter(self.a)
         if self.order == 2:
             a, _ = _normalize_log_param(a)
         object.__setattr__(self, "a", a)
@@ -404,8 +444,8 @@ def certify_agmon(spec: Spectrum, theta, epsilon: float) -> AgmonCertificate:
             raise NotAgmonError(
                 message=f"lattice tail direction {d} approaches the cut at {th}"
             )
-    for value, _ in spec.points_near((th,)):
-        if ang_dist(phase(value), th) <= epsilon:
+    for (value, _), arg in spec.phases_near((th,)):
+        if ang_dist(arg, th) <= epsilon:
             raise NotAgmonError(witness=value)
     return AgmonCertificate(cut, epsilon)
 
@@ -441,22 +481,27 @@ def _family_key(family: Spectrum, conj: bool) -> tuple:
 def is_symmetric_about_real_axis(spec: Spectrum) -> bool:
     """True iff conj(lambda) occurs with the same multiplicity as lambda.
 
-    The decomposition must equal its conjugate: families by their canonical
-    key, signed point multiplicities by ``merge_key`` (a ``Finite``'s own),
-    the conjugate's key derived from the point's.
+    The decomposition must equal its conjugate.  Families tally by their
+    canonical key, the family's against its conjugate's.  Points tally their
+    signed multiplicities once, by ``merge_key`` (a ``Finite``'s own), and
+    each key must count as much as its conjugate's key, derived from it.
     """
     families, points = decompose(spec)
     keys = spec.keys if isinstance(spec, Finite) else [merge_key(v) for v, _ in points]
 
-    def tally(conj: bool) -> dict:
+    def family_tally(conj: bool) -> dict:
         counts: dict = {}
-        keyed = [(_family_key(f, conj), f.mu) for f in families]
-        keyed += [(_conjugate_key(k) if conj else k, m) for k, (_, m) in zip(keys, points)]
-        for k, m in keyed:
-            counts[k] = counts.get(k, 0) + m
-        return {k: m for k, m in counts.items() if m}
+        for f in families:
+            k = _family_key(f, conj)
+            counts[k] = counts.get(k, 0) + f.mu
+        return counts
 
-    return tally(False) == tally(True)
+    if family_tally(False) != family_tally(True):
+        return False
+    counts: dict = {}
+    for k, (_, m) in zip(keys, points):
+        counts[k] = counts.get(k, 0) + m
+    return all(counts.get(_conjugate_key(k), 0) == m for k, m in counts.items())
 
 
 def _square(v: complex) -> complex:
@@ -492,9 +537,10 @@ def _map_spectrum(spec: Spectrum, verb: str, finite, lattice) -> Spectrum:
 def square_spectrum(spec: Spectrum) -> Spectrum:
     """Eigenvalues squared; coinciding squares merge by summing multiplicities.
 
-    Squares merge by ``merge_key``, which the square keeps as its own keys.
-    A lattice is refused when its eigenvalue nearest 0, a - round(Re a),
-    squares to 0.
+    Squares merge by ``merge_key``, which the square keeps as its own keys;
+    its polar form is taken of the squares themselves, not doubled from the
+    roots'.  A lattice is refused when its eigenvalue nearest 0,
+    a - round(Re a), squares to 0.
     """
 
     def finite(spec: Finite) -> Finite:
@@ -502,7 +548,7 @@ def square_spectrum(spec: Spectrum) -> Spectrum:
         for v, m in spec.eigenvalues:
             sq = _square(v)
             acc.setdefault(merge_key(sq), [sq, 0])[1] += m
-        return Finite(tuple(Eigenvalue(v, m) for v, m in acc.values()), tuple(acc))
+        return Finite(tuple(acc.values()), tuple(acc))
 
     def lattice(f: Lattice):
         _square(f.a - round(f.a.real))

@@ -36,11 +36,12 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .complexcut import TAU, CutAngle, ang_dist, as_cut, log_cut, pow_cut
+from .complexcut import TAU, CutAngle, ang_dist, as_cut, branch_angle, log_at
 from .config import AGMON_EPSILON, IMAG_AXIS, em_num_terms, explicit_terms
 from .errors import DomainError, PoleError
 from .kernels import hurwitz_zeta_raw, log_gamma
 from .spectrum import (
+    Finite,
     HermQuadLattice,
     Lattice,
     QuadLattice,
@@ -239,22 +240,30 @@ def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
     part is scaled by its mu; the finite points come last, left out when there
     are families but no points.  With ``eta``, eta(s).  The log sum is negated
     once and the parts add from the first, so a lone finite part keeps
-    -sum(m*log) bit for bit, signed zeros included.
+    -sum(m*log) bit for bit, signed zeros included.  Each head point's log is
+    log|v| + i*branch_angle, with the bits of ``log_cut``; a ``Finite``'s own
+    points read log|v| and arg v from its polar form.
     """
     families, points = decompose(spec)
+    own = isinstance(spec, Finite) and not eta
     if eta:
         points = _eta_signed(points)
+    th = cut.normalized
+    ns = None if s is None else -s
     value = err = None
     for f in families + (None,) if points or not families else families:
         scale, v2, head, groups = (0, 0.0, points, ()) if f is None else _family(f, cut, s, eta)
         total = 0.0 + 0.0j
-        if s is None:
-            for v, m in head:
-                total += m * log_cut(v, cut)
-            total = -total
+        if f is None and own:
+            for (v, m), lm, arg in zip(head, spec.log_moduli, spec.phases):
+                logv = complex(lm, branch_angle(v, arg, th))
+                total += m * (logv if ns is None else cmath.exp(ns * logv))
         else:
             for v, m in head:
-                total += m * pow_cut(v, s, cut)
+                logv = log_at(v, th)
+                total += m * (logv if ns is None else cmath.exp(ns * logv))
+        if s is None:
+            total = -total
         errs: list = []
         for sign, k, ws in groups:
             tails = 0.0

@@ -80,6 +80,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
             CircleModel(((0.3, m),))
 
+    @pytest.mark.parametrize("a", [complex("nan"), complex(math.inf, 0.0), complex(0.3, -math.inf)])
+    def test_model_log_parameter_is_finite(self, a):
+        with pytest.raises(ValueError, match="lattice parameter .* is not finite"):
+            CircleModel(((0.3, 1), (a, 1)))
+
     def test_repeated_eigenvalues_merge(self):
         model = build_from_monodromy(np.diag([-1.0, -1.0]))
         (a, m), = model.log_params

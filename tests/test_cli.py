@@ -164,7 +164,15 @@ class TestCommands:
         import zetadet.spectrum as spectrum
         import zetadet.zetafun as zetafun
 
-        counts = {"certify_agmon": 0, "merge_key": 0, "imaginary_axis_counts": 0}
+        # ten conjugate pairs, half of them in the left half-plane, clear of both sectors
+        values = []
+        for k in range(10):
+            v = (1.0 + 0.3 * k) * cmath.exp(1j * (0.1 + 0.09 * (k % 5)))
+            v = -v if k >= 5 else v
+            values += [v, v.conjugate()]
+        squares = len({spectrum.merge_key(v * v) for v in values})
+        counts = {"certify_agmon": 0, "merge_key": 0, "imaginary_axis_counts": 0, "branch_angle": 0,
+                  "atan2": 0, "log": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -178,15 +186,15 @@ class TestCommands:
         for module in (spectrum, zetafun, determinant):
             monkeypatch.setattr(module, "certify_agmon", certify)
             monkeypatch.setattr(module, "imaginary_axis_counts", axis_counts)
-        monkeypatch.setattr(zetafun, "pow_cut", lambda *args: pytest.fail("pow_cut called"))
-        # ten conjugate pairs, half of them in the left half-plane, clear of both sectors
-        values = []
-        for k in range(10):
-            v = (1.0 + 0.3 * k) * cmath.exp(1j * (0.1 + 0.09 * (k % 5)))
-            v = -v if k >= 5 else v
-            values += [v, v.conjugate()]
+        monkeypatch.setattr(zetafun, "branch_angle", counted("branch_angle", zetafun.branch_angle))
+        # zeta_{2theta}(0, D^2) of a finite spectrum is its multiplicity count, summed without powers
+        monkeypatch.setattr(determinant, "spectral_zeta", lambda *args: pytest.fail("spectral_zeta called"))
         model = {"type": "finite", "eigenvalues": [{"re": v.real, "im": v.imag} for v in values]}
+        # a phase is one math.atan2 call and a log-modulus one math.log call; count them over the job
+        monkeypatch.setattr(math, "atan2", counted("atan2", math.atan2))
+        monkeypatch.setattr(math, "log", counted("log", math.log))
         res = run(_job("verify", model, theta=-PI / 4))
+        monkeypatch.undo()
         assert [c["name"] for c in res["checks"]] == [
             "det_eta_identity", "det_eta_identity_upper", "symmetric_factorization",
         ]
@@ -195,6 +203,30 @@ class TestCommands:
         assert counts["merge_key"] <= 2 * len(values)
         # eta and the factorization's m_- come from one pass over the imaginary axis
         assert counts["imaginary_axis_counts"] == 1
+        # one phase and one log-modulus per eigenvalue of D and of D^2, read by
+        # the sector check, the three Agmon tests and the three branch shifts
+        assert squares == len(values)
+        assert counts["atan2"] == counts["log"] == len(values) + squares
+        assert counts["branch_angle"] == 2 * len(values) + squares
+
+    @pytest.mark.parametrize(
+        "eigenvalues, code",
+        [
+            pytest.param([{"re": 0.0, "im": 0.0}, "x"], "bad-value", id="zero-before-non-object"),
+            pytest.param(["x", {"re": 0.0}], "bad-model", id="non-object-before-zero"),
+            pytest.param([{"re": 1.0, "im": "x", "mu": 1}], "bad-model", id="unknown-key-before-im"),
+            pytest.param([{"re": 0.0, "im": "x", "multiplicity": 0}], "bad-complex", id="im-before-multiplicity"),
+            pytest.param([{"re": 0.0, "multiplicity": 0}], "bad-model", id="multiplicity-before-zero"),
+            pytest.param([{"re": 2.0}, {"re": 0.0}, {"re": 1.0, "im": True}], "bad-value", id="zero-before-bad-im"),
+            pytest.param([{"re": 2.0, "multiplicity": 10**400}, {"re": 1.0, "bad": 1}], "bad-value",
+                         id="huge-multiplicity-before-unknown-key"),
+        ],
+    )
+    def test_eigenvalue_errors_come_in_list_order(self, eigenvalues, code):
+        # each eigenvalue meets every check, its schema's and its value's, before the next one
+        with pytest.raises((SchemaError, ValueError)) as info:
+            run(_job("verify", {"type": "finite", "eigenvalues": eigenvalues}))
+        assert (info.value.code if isinstance(info.value, SchemaError) else "bad-value") == code
 
     def test_variation_integrates_once(self, monkeypatch):
         import zetadet.circle as circle
@@ -1217,6 +1249,15 @@ for job in json.loads(sys.argv[1]):
         seen.append([main([job["command"], "--config", "-"]), "numpy" in sys.modules])
 print(json.dumps(seen))
 """
+
+
+def test_cold_start_leaves_fractions_and_decimal_out():
+    # the kernels' Bernoulli table is integer pairs, so no job imports either module
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, zetadet.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_matrix_jobs_import_numpy():

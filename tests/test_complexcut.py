@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zetadet import CutAngle, OnCutError, Sector, ZeroInputError, log_cut, pow_cut
-from zetadet.complexcut import TAU, ang_dist
+from zetadet.complexcut import TAU, ang_dist, branch_angle, phase
 
 PI = math.pi
 
@@ -115,6 +115,66 @@ def test_pow_cut_exponent_additivity(lam, theta, s1, s2):
     except OnCutError:
         return
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+def _reference_log_cut(lam: complex, theta: float) -> complex:
+    """The cut logarithm written out in one piece, as it stood before its polar core was split off."""
+    if lam == 0:
+        raise ZeroInputError("log_cut requires a nonzero argument")
+    th = CutAngle(theta).normalized
+    arg = math.atan2(lam.imag, lam.real)
+    if ang_dist(arg, th) == 0.0:
+        raise OnCutError(f"{lam} lies on the cut ray at angle {th}")
+    k = math.ceil((th - arg) / TAU)
+    alpha = arg + TAU * k
+    if alpha <= th:
+        alpha += TAU
+    elif alpha > th + TAU:
+        alpha -= TAU
+    return complex(math.log(abs(lam)), alpha)
+
+
+def _outcome(fn, *args):
+    """A result's bits, or the type and message of the error raised."""
+    try:
+        w = fn(*args)
+    except (OnCutError, ZeroInputError) as exc:
+        return type(exc), str(exc)
+    return w.real.hex(), w.imag.hex()
+
+
+def _polar_core(lam: complex, theta: float) -> complex:
+    return complex(math.log(abs(lam)), branch_angle(lam, phase(lam), CutAngle(theta).normalized))
+
+
+finite_nonzero = st.builds(
+    complex,
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-1e300, 1e300, allow_nan=False),
+).filter(lambda z: z != 0)
+cuts = st.floats(-2 * PI, 2 * PI, allow_nan=False, exclude_max=True)
+
+
+@st.composite
+def _point_and_cut(draw):
+    """A point and a cut in [-2*pi, 2*pi): on the point's ray, one ulp either side of it, or anywhere."""
+    lam = draw(finite_nonzero)
+    where = draw(st.sampled_from(("on", "below", "above", "away")))
+    if where == "away":
+        return lam, draw(cuts)
+    arg = phase(lam)
+    if where != "on":
+        arg = math.nextafter(arg, -math.inf if where == "below" else math.inf)
+    turns = [k for k in (-2, -1, 0, 1) if -2 * PI <= arg + k * TAU < 2 * PI]
+    return lam, arg + draw(st.sampled_from(turns)) * TAU
+
+
+@given(_point_and_cut())
+def test_log_cut_is_log_modulus_plus_polar_core(point):
+    lam, theta = point
+    expected = _outcome(_reference_log_cut, lam, theta)
+    assert _outcome(log_cut, lam, theta) == expected
+    assert _outcome(_polar_core, lam, theta) == expected
 
 
 class TestSector:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,17 @@ def _eval(impl, s, q):
 
 # the one kernel module is pure Python
 KERNELS = [pytest.param(kernels, id="py")]
+
+# B_2, B_4, ..., B_26
+BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+             Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+             Fraction(-174611, 330), Fraction(854513, 138), Fraction(-236364091, 2730), Fraction(8553103, 6)]
+
+
+def test_coefficient_tables_are_the_rounded_fractions():
+    assert [Fraction(p, q) for p, q in kernels._BERNOULLI] == BERNOULLI
+    assert kernels._EM_COEF == tuple(float(b / math.factorial(2 * k)) for k, b in enumerate(BERNOULLI, 1))
+    assert kernels._STIRLING_COEF == tuple(float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(BERNOULLI, 1))
 
 
 @pytest.mark.parametrize("impl", KERNELS)

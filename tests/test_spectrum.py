@@ -3,6 +3,7 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -133,6 +134,44 @@ class TestFinite:
         families, points = decompose(spec)
         assert families == () and points is spec.eigenvalues
         assert spec.points_near((0.0,)) is spec.eigenvalues
+
+    @pytest.mark.parametrize("multiplicities", [[1], [1, 2, 3]])
+    def test_of_refuses_a_multiplicity_count_unlike_the_values(self, multiplicities):
+        with pytest.raises(ValueError):
+            Finite.of(1, 2, multiplicities=multiplicities)
+
+    def test_takes_any_iterable_of_pairs(self):
+        spec = Finite(iter([(2, 1), [1j, 3], (-1,)]))
+        assert spec.eigenvalues == (Eigenvalue(2), Eigenvalue(1j, 3), Eigenvalue(-1))
+        assert all(type(e) is Eigenvalue for e in spec.eigenvalues)
+
+    def test_polar_form_of_each_eigenvalue(self):
+        rng = random.Random(5)
+        values = [complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) * 10.0 ** rng.randint(-300, 300)
+                  for _ in range(300)]
+        spec = Finite.of(*values)
+        assert spec.log_moduli == tuple(math.log(abs(v)) for v in values)
+        assert spec.phases == tuple(math.atan2(v.imag, v.real) for v in values)
+        assert [e for e, _ in spec.phases_near((0.0,))] == list(spec.eigenvalues)
+
+    def test_square_takes_its_polar_form_from_the_squares(self):
+        # a doubled phase would differ from the square's own in its last bits
+        rng = random.Random(6)
+        values = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(200)]
+        sq = square_spectrum(Finite.of(*values))
+        squares = [e.value for e in sq.eigenvalues]
+        assert sq.phases == tuple(math.atan2(z.imag, z.real) for z in squares)
+        assert sq.log_moduli == tuple(math.log(abs(z)) for z in squares)
+        doubled = [2.0 * math.atan2(v.imag, v.real) for v in values]
+        assert any(p != d and abs(p - d) < 1e-12 for p, d in zip(sq.phases, doubled))
+
+    def test_log_modulus_beyond_the_float_range(self):
+        # |v| overflows the float range although both parts are finite
+        v = complex(1.5e308, 1.5e308)
+        spec = Finite.of(v, 2)
+        exact = mpmath.log(mpmath.fabs(mpmath.mpc(v)))
+        assert abs(spec.log_moduli[0] - float(exact)) <= math.ulp(float(exact))
+        assert spec.log_moduli[1] == math.log(2.0)
 
 
 class TestLattice:
