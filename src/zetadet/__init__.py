@@ -1,7 +1,7 @@
 """zetadet: zeta-regularized determinants, eta invariants, and refined torsion
 for operators with explicitly known discrete spectra."""
 
-from .complexcut import CutAngle, Sector, log_cut, pow_cut
+from .complexcut import CutAngle, log_cut, pow_cut
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .circle import (
     CircleModel,

@@ -456,11 +456,15 @@ def eta_variation_check(a_path: Callable[[float], complex], dt: float, t: float 
 def cr_residual(fn: Callable[[complex], complex], a: complex, h: float) -> float:
     """|d/d(conj a)| of ``fn`` at ``a`` from central differences with step ``h``.
 
-    For a holomorphic map the result is pure discretization error.
+    For a holomorphic map the result is pure discretization error.  Raises
+    OverflowError when the differences leave the float range.
     """
     d_re = (fn(a + h) - fn(a - h)) / (2.0 * h)
     d_im = (fn(a + 1j * h) - fn(a - 1j * h)) / (2.0 * h)
-    return abs(0.5 * (d_re + 1j * d_im))
+    res = abs(0.5 * (d_re + 1j * d_im))
+    if not math.isfinite(res):
+        raise OverflowError(f"the finite differences at a={a} with step {h} lie beyond the float range")
+    return res
 
 
 def scan_points(

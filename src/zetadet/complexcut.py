@@ -7,9 +7,9 @@ lambda^{-s} used by spectral zeta functions.  ``log_cut`` is log|lambda| plus
 i times its polar core ``branch_angle``, which places a given phase in the
 window and refuses a point on the cut.  A sum over many points reads the cut
 angle once and calls ``log_at``, or the core alone for points whose phase and
-log-modulus it already holds (a finite spectrum keeps both).  ``Sector``
-models solid angles with per-endpoint openness; a theorem hypothesis error
-names the one it found an eigenvalue in.
+log-modulus it already holds (a finite spectrum keeps both).  A cut angle is
+reduced into [-2*pi, 2*pi), and refused where the floats cannot resolve it to
+``AGMON_EPSILON``.  Where |lambda| overflows, log|lambda| is log|lambda/2| + log 2.
 """
 
 from __future__ import annotations
@@ -18,18 +18,28 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from .config import AGMON_EPSILON
 from .errors import OnCutError, ZeroInputError
 
 TAU = 2.0 * math.pi
+LOG_2 = math.log(2.0)
 
 
 def _wrap_cut(theta: float) -> float:
     """Reduce an angle into [-2*pi, 2*pi) by a multiple of 4*pi.
 
     The window is two turns wide on purpose: theta and theta + 2*pi denote
-    different branches and must stay distinguishable.
+    different branches and must stay distinguishable.  Raises ValueError for an
+    angle whose float spacing exceeds AGMON_EPSILON: NaN, +-inf, |theta| >= 2**23.
     """
-    return theta - 2.0 * TAU * math.floor((theta + TAU) / (2.0 * TAU))
+    if -TAU <= theta < TAU:
+        return theta
+    if not math.ulp(theta) <= AGMON_EPSILON:
+        raise ValueError(f"cut angle {theta}: the float spacing {math.ulp(theta):.3g} exceeds "
+                         f"agmon_epsilon {AGMON_EPSILON:.3g}, so its direction is unresolved")
+    t = theta - 2.0 * TAU * math.floor((theta + TAU) / (2.0 * TAU))
+    # floating-point guard: the quotient may round up past a whole window
+    return t + 2.0 * TAU if t < -TAU else t
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,10 @@ def log_at(lam: complex, th: float) -> complex:
     if lam == 0:
         raise ZeroInputError("log_cut requires a nonzero argument")
     alpha = branch_angle(lam, phase(lam), th)
-    return complex(math.log(abs(lam)), alpha)
+    try:
+        return complex(math.log(abs(lam)), alpha)
+    except OverflowError:
+        return complex(math.log(abs(0.5 * lam)) + LOG_2, alpha)
 
 
 def log_cut(lam: complex, theta) -> complex:
@@ -106,42 +119,3 @@ def log_cut(lam: complex, theta) -> complex:
 def pow_cut(lam: complex, s: complex, theta) -> complex:
     """lambda^{-s} along the cut: exp(-s * log_cut(lam, theta))."""
     return cmath.exp(-complex(s) * log_cut(lam, theta))
-
-
-@dataclass(frozen=True)
-class Sector:
-    """Solid angle {rho * e^{i*t} : rho > 0, t in the interval (lo, hi)}.
-
-    Endpoint membership follows ``lo_closed`` / ``hi_closed``.  The origin is
-    never a member.
-    """
-
-    lo: float
-    hi: float
-    lo_closed: bool = False
-    hi_closed: bool = False
-
-    def __post_init__(self):
-        if not (self.lo < self.hi <= self.lo + TAU):
-            raise ValueError("sector requires lo < hi <= lo + 2*pi")
-
-    def contains_direction(self, direction: float) -> bool:
-        t = self.lo + math.fmod(direction - self.lo, TAU)
-        if t < self.lo:
-            t += TAU
-        if self.lo < t < self.hi:
-            return True
-        if t == self.lo and self.lo_closed:
-            return True
-        if t == self.hi and self.hi_closed:
-            return True
-        # full-turn sector: hi and lo name the same direction
-        if t == self.lo and self.hi == self.lo + TAU and self.hi_closed:
-            return True
-        return False
-
-    def contains(self, lam: complex) -> bool:
-        lam = complex(lam)
-        if lam == 0:
-            return False
-        return self.contains_direction(phase(lam))

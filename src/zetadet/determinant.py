@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .complexcut import CutAngle, Sector, as_cut
+from .complexcut import CutAngle, as_cut
 from .config import AGMON_EPSILON, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     HypothesisViolatedError,
@@ -126,9 +126,8 @@ def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
     """
     for (v, _), arg in spec.phases_near((-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)):
         if -_PI / 2.0 < _hypothesis_direction(arg) <= theta_val:
-            sector = (Sector(_PI / 2.0, theta_val + _PI, hi_closed=True) if v.imag > 0
-                      else Sector(-_PI / 2.0, theta_val, hi_closed=True))
-            raise HypothesisViolatedError(sector, v)
+            lo, hi = (_PI / 2.0, theta_val + _PI) if v.imag > 0 else (-_PI / 2.0, theta_val)
+            raise HypothesisViolatedError((lo, hi), v)
 
 
 def _cut_in_range(theta, caller: str) -> CutAngle:

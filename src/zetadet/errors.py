@@ -50,15 +50,13 @@ class EigenFailureError(ZetaDetError):
 
 
 class HypothesisViolatedError(ZetaDetError):
-    """A theorem hypothesis sector contains an eigenvalue."""
+    """A theorem hypothesis sector, the directions (lo, hi] of ``sector``, contains an eigenvalue."""
 
-    def __init__(self, sector, witness, message: str | None = None):
+    def __init__(self, sector: tuple[float, float], witness, message: str | None = None):
         self.sector = sector
         self.witness = witness
-        super().__init__(
-            message
-            or f"eigenvalue {witness} lies in the hypothesis sector {sector}"
-        )
+        lo, hi = sector
+        super().__init__(message or f"eigenvalue {witness} lies in the hypothesis sector ({lo}, {hi}]")
 
 
 class NotSymmetricError(ZetaDetError):

@@ -32,12 +32,11 @@ from collections import namedtuple
 from dataclasses import InitVar, dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Tuple
 
-from .complexcut import CutAngle, ang_dist, as_cut, phase
+from .complexcut import LOG_2, CutAngle, ang_dist, as_cut, phase
 from .config import IMAG_AXIS, MERGE_SIGNIFICANT_DIGITS
 from .errors import DomainError, NotAgmonError
 
 _PI = math.pi
-_LOG_2 = math.log(2.0)
 _FLOAT_MAX = sys.float_info.max
 _MERGE_SPEC = f".{MERGE_SIGNIFICANT_DIGITS}g"
 
@@ -174,7 +173,7 @@ class Finite(Spectrum):
             try:
                 log_moduli.append(math.log(abs(v)))
             except OverflowError:
-                log_moduli.append(math.log(abs(0.5 * v)) + _LOG_2)
+                log_moduli.append(math.log(abs(0.5 * v)) + LOG_2)
             phases.append(phase(v))
             evs.append(e)
             if merge_keys is None:

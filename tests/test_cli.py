@@ -11,7 +11,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from zetadet import circle as circ, cli
 from zetadet.cli import (
@@ -494,6 +494,8 @@ class TestScanRowWithoutXi:
         offset=st.sampled_from([0.5e-8, 2e-8, 1e-6, 0.013, 0.5, 0.987, 1.0 - 2e-8]),
         im=st.one_of(st.floats(-3.0, 3.0), st.floats(-125.0, 125.0), st.sampled_from([0.0, -113.0, 118.5])),
     )
+    # T is finite but its finite differences overflow
+    @example(n=0, offset=0.013, im=-112.75)
     def test_row_equals_refined_torsion_row(self, n, offset, im):
         a = complex(n + offset, im)
         assert _row_or_error(cli._scan_row, a) == _row_or_error(_refined_torsion_row, a)
@@ -909,6 +911,19 @@ class TestCliEntry:
             pytest.param(
                 {"command": "det", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.0}, "mu": 10**400}},
                 [], "bad-value", ("multiplicity", "float range"), id="det-huge-lattice-mu",
+            ),
+            *(
+                pytest.param(
+                    {"command": command, "theta": theta,
+                     "model": {"type": "finite", "eigenvalues": [{"re": 2.0, "im": 1.0}]}},
+                    [], "bad-value", (f"cut angle {theta}:", "agmon_epsilon"), id=f"{command}-unresolved-theta",
+                )
+                for command, theta in (("det", 1.7e308), ("zeta", 1e17), ("verify", -8388608.0))
+            ),
+            pytest.param(
+                {"command": "scan", "params": {"grid": {"reStart": 0.013, "reStop": 0.013, "reSteps": 1,
+                                                        "imStart": -112.75, "imStop": -112.75, "imSteps": 1}}},
+                [], "Overflow", ("finite differences", "(0.013-112.75j)"), id="scan-overflowing-differences",
             ),
         ],
     )

@@ -156,10 +156,26 @@ def test_constant_jobs_fall_on_their_sides(tmp_path, monkeypatch):
         assert len(square_spectrum(spec).eigenvalues) == (1 if merged else 2)
 
 
+def test_cut_range_jobs_fall_on_their_sides(tmp_path, monkeypatch):
+    start = len(cli_outputs.ZERO_JOBS) + len(cli_outputs.CONSTANT_JOBS)
+    accepted, refused = _edge_records(tmp_path, monkeypatch)[start:start + len(cli_outputs.CUT_RANGE_JOBS)]
+    assert (accepted["exit"], accepted["stderr"]) == (0, "")
+    det = json.loads(accepted["stdout"])["results"]["det"]
+    assert complex(det["re"], det["im"]) == pytest.approx(2 + 1j, rel=1e-12)
+    assert refused["exit"] == 2
+    error = json.loads(refused["stderr"])["error"]
+    assert error["code"] == "bad-value"
+    assert error["message"].startswith("cut angle 8388608.0: the float spacing 1.86e-09 exceeds agmon_epsilon")
+
+
 def test_hypothesis_jobs_name_their_witness(tmp_path, monkeypatch):
     recs = _edge_records(tmp_path, monkeypatch)[-len(cli_outputs.HYPOTHESIS_JOBS):]
     errors = [json.loads(r["stderr"])["error"] for r in recs]
     assert [(r["exit"], e["code"]) for r, e in zip(recs, errors)] == [(2, "HypothesisViolated")] * 2
-    # the first point listed is the witness: Sector(lo=-pi/2, ...) then Sector(lo=pi/2, ...)
-    assert errors[0]["message"].startswith("eigenvalue (0.5349961-1.9271156j) lies in the hypothesis sector Sector(lo=-1.57")
-    assert errors[1]["message"].startswith("eigenvalue (-0.8322937+1.8185949j) lies in the hypothesis sector Sector(lo=1.57")
+    # the first point listed is the witness: in (-pi/2, -pi/4], then in (pi/2, 3*pi/4]
+    assert errors[0]["message"] == (
+        f"eigenvalue (0.5349961-1.9271156j) lies in the hypothesis sector ({-math.pi / 2}, {-math.pi / 4}]"
+    )
+    assert errors[1]["message"] == (
+        f"eigenvalue (-0.8322937+1.8185949j) lies in the hypothesis sector ({math.pi / 2}, {-math.pi / 4 + math.pi}]"
+    )

@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from zetadet import CutAngle, OnCutError, Sector, ZeroInputError, log_cut, pow_cut
+from zetadet import CutAngle, Finite, OnCutError, ZeroInputError, ldet, log_cut, pow_cut
 from zetadet.complexcut import TAU, ang_dist, branch_angle, phase
 
 PI = math.pi
@@ -23,6 +25,28 @@ class TestCutAngle:
         assert CutAngle(0.25) == CutAngle(0.25 + 2 * TAU)
         assert hash(CutAngle(0.25)) == hash(CutAngle(0.25 + 2 * TAU))
 
+    @settings(max_examples=500)
+    @given(st.floats(-(2.0**23), 2.0**23, exclude_min=True, exclude_max=True))
+    # quotients that round up to the next window: just below 2*pi, and just below 2*pi + 40 windows
+    @example(math.nextafter(TAU, 0.0))
+    @example(508.9380098815464)
+    def test_reduction_into_the_window(self, theta):
+        t = CutAngle(theta).normalized
+        assert -TAU <= t < TAU
+        with mpmath.workprec(200):
+            moved = mpmath.mpf(theta) - mpmath.mpf(t)
+            window = 4 * mpmath.pi
+            off = abs(moved - window * mpmath.nint(moved / window))
+        assert off <= 2 * math.ulp(theta)
+
+    @given(st.one_of(st.floats(min_value=2.0**23), st.floats(max_value=-(2.0**23)), st.just(math.nan)))
+    @example(2.0**23)
+    @example(1.7e308)
+    @example(math.inf)
+    def test_angle_the_floats_cannot_resolve_is_refused(self, theta):
+        with pytest.raises(ValueError, match=re.escape(f"cut angle {theta}:")):
+            CutAngle(theta)
+
 
 class TestLogCut:
     def test_principal_of_one(self):
@@ -38,6 +62,12 @@ class TestLogCut:
     def test_zero_raises(self):
         with pytest.raises(ZeroInputError):
             log_cut(0, -PI)
+
+    def test_overflowing_modulus_as_a_finite_spectrum_takes_it(self):
+        # |lam| overflows the float range: log|lam/2| + log 2, the rule of Finite's polar form
+        lam = 1.5e308 + 1.5e308j
+        assert log_cut(lam, 0.3) == ldet(Finite.of(lam), -0.7).ldet
+        assert pow_cut(lam, 0.0, 0.3) == 1
 
     def test_branch_shift_across_the_ray(self):
         # same ray direction, windows one turn apart: logs differ by 2*pi*i
@@ -175,32 +205,6 @@ def test_log_cut_is_log_modulus_plus_polar_core(point):
     expected = _outcome(_reference_log_cut, lam, theta)
     assert _outcome(log_cut, lam, theta) == expected
     assert _outcome(_polar_core, lam, theta) == expected
-
-
-class TestSector:
-    def test_upper_half_plane(self):
-        assert Sector(0.0, PI).contains(1j)
-
-    def test_origin_excluded(self):
-        assert not Sector(0.0, PI).contains(0)
-        assert not Sector(-PI, PI, True, True).contains(0)
-
-    def test_closed_endpoint(self):
-        s = Sector(-PI / 2, PI / 2, hi_closed=True)
-        assert s.contains(cmath.exp(1j * PI / 2))
-        assert not s.contains(cmath.exp(-1j * PI / 2))
-
-    def test_open_endpoints(self):
-        s = Sector(0.0, PI / 2)
-        assert not s.contains(1.0)
-        assert not s.contains(1j)
-        assert s.contains(1 + 1j)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            Sector(1.0, 1.0)
-        with pytest.raises(ValueError):
-            Sector(0.0, 7.0)
 
 
 def test_ang_dist_symmetry():

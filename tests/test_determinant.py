@@ -29,7 +29,7 @@ from zetadet import (
     verify_spectrum,
     zeta_at_zero,
 )
-from zetadet.complexcut import Sector, as_cut, phase
+from zetadet.complexcut import as_cut, phase
 from zetadet.determinant import _check_hypothesis_sectors
 from zetadet.spectrum import square_spectrum
 from zetadet.zetafun import spectral_zeta
@@ -141,8 +141,10 @@ class TestVerifyDetEta:
     def test_hypothesis_violation_raises(self):
         # eigenvalue with argument in (-pi/2, theta]
         bad = Finite.of(cmath.exp(-1.3j))
-        with pytest.raises(HypothesisViolatedError):
+        with pytest.raises(HypothesisViolatedError) as info:
             verify_det_eta(bad, -PI / 4)
+        assert info.value.sector == (-PI / 2, -PI / 4)
+        assert str(info.value).endswith(f"lies in the hypothesis sector ({-PI / 2}, {-PI / 4}]")
 
     def test_sign_flag_reports_observed_sign(self):
         bad = Finite.of(cmath.exp(-1.3j))
@@ -266,11 +268,12 @@ class TestAngleShift:
             assert abs(l1.det - l2.det) < 1e-10 * (1 + abs(l1.det))
 
 
-def _in_swept_sector(d: float, lo: float, hi: float) -> bool:
+def _in_swept_sector(d: float, lo: float, hi: float, lo_open: bool = False) -> bool:
+    """Whether direction d lies in [lo, hi], or (lo, hi] with ``lo_open``, up to whole turns."""
     t = lo + math.fmod(d - lo, 2.0 * PI)
     if t < lo:
         t += 2.0 * PI
-    return t <= hi
+    return (t > lo or not lo_open) and t <= hi
 
 
 class TestExactLatticeGeometry:
@@ -304,15 +307,12 @@ class TestExactLatticeGeometry:
         # the tails lie |theta| away from both sectors
         radius = clear_radius(spec, abs(theta))
         assume(radius is not None)
-        sectors = (
-            Sector(-PI / 2, theta, hi_closed=True),
-            Sector(PI / 2, theta + PI, hi_closed=True),
-        )
+        sectors = ((-PI / 2, theta), (PI / 2, theta + PI))
         expected = not any(
-            sec.contains(v)
+            _in_swept_sector(phase(v), lo, hi, lo_open=True)
             for v, m in spec.points_within(radius)
             if m > 0
-            for sec in sectors
+            for lo, hi in sectors
         )
         try:
             _check_hypothesis_sectors(spec, theta)

@@ -71,6 +71,13 @@ CONSTANT_JOBS = (
     {"schemaVersion": 1, "command": "verify", "model": _finite(1, -(1 + 1e-12))},
     {"schemaVersion": 1, "command": "verify", "model": _finite(1, -(1 + 1e-11))},
 )
+# CUT_RANGE_JOBS: det of {2 + i} at the last cut angle whose float spacing is
+# within AGMON_EPSILON, 2**23 - 1/2, and at the first one beyond it, 2**23,
+# which the CLI refuses.
+CUT_RANGE_JOBS = (
+    {"schemaVersion": 1, "command": "det", "theta": 8388607.5, "model": _finite(2 + 1j)},
+    {"schemaVersion": 1, "command": "det", "theta": 8388608.0, "model": _finite(2 + 1j)},
+)
 # HYPOTHESIS_JOBS: verify at the default cut -pi/4 on points in the lower
 # hypothesis sector (-pi/2, -pi/4], both of them, so the witness is the first
 # listed; and on 2 e^{2i}, in the upper sector (pi/2, 3 pi/4].
@@ -78,7 +85,7 @@ HYPOTHESIS_JOBS = (
     {"schemaVersion": 1, "command": "verify", "model": _finite(0.5349961 - 1.9271156j, 0.3 - 1.9j)},
     {"schemaVersion": 1, "command": "verify", "model": _finite(-0.8322937 + 1.8185949j, 3)},
 )
-EDGE_JOBS = ZERO_JOBS + CONSTANT_JOBS + HYPOTHESIS_JOBS
+EDGE_JOBS = ZERO_JOBS + CONSTANT_JOBS + CUT_RANGE_JOBS + HYPOTHESIS_JOBS
 
 _WALL = re.compile(r'"wallTimeSeconds":[^,}]*')
 
