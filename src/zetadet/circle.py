@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
-from .complexcut import CutAngle
+from .complexcut import CutAngle, finite_complex
 from .config import (
     ACYCLIC_DISTANCE,
     ARG_PAIRING_SIGN,
@@ -44,7 +44,6 @@ from .spectrum import (
     dist_to_integers,
     square_spectrum,
     _check_multiplicity,
-    _finite_parameter,
     _normalize_log_param,
 )
 from .zetafun import eta_invariant, zeta_ds_at_zero
@@ -63,7 +62,7 @@ class CircleModel:
     log_params: Tuple[Tuple[complex, int], ...]
 
     def __post_init__(self):
-        lp = tuple((_finite_parameter(a), m) for a, m in self.log_params)
+        lp = tuple((finite_complex(a, "lattice parameter"), m) for a, m in self.log_params)
         object.__setattr__(self, "log_params", lp)
         if not lp:
             raise ValueError("model requires at least one log parameter")
@@ -193,8 +192,12 @@ def ray_singer_torsion(model: CircleModel) -> float:
     """exp(LDet_{-pi}(Laplacian on 1-forms) / 2), a positive real number."""
     total = 0.0 + 0.0j
     cut = CutAngle(-_PI)
-    for a, m in model.log_params:
-        total += -zeta_ds_at_zero(HermQuadLattice(a, m), cut)
+    try:
+        # an eigenvalue |a + n|^2 beyond the float range overflows before the sum
+        for a, m in model.log_params:
+            total += -zeta_ds_at_zero(HermQuadLattice(a, m), cut)
+    except OverflowError:
+        raise OverflowError(f"Ray-Singer torsion of {model}: an eigenvalue lies beyond the float range") from None
     try:
         return math.exp(0.5 * total.real)
     except OverflowError:

@@ -9,7 +9,9 @@ window and refuses a point on the cut.  A sum over many points reads the cut
 angle once and calls ``log_at``, or the core alone for points whose phase and
 log-modulus it already holds (a finite spectrum keeps both).  A cut angle is
 reduced into [-2*pi, 2*pi), and refused where the floats cannot resolve it to
-``AGMON_EPSILON``.  Where |lambda| overflows, log|lambda| is log|lambda/2| + log 2.
+``AGMON_EPSILON``.  Where |lambda| overflows, log|lambda| is log|lambda/2| +
+log 2.  ``log_cut`` and ``pow_cut`` refuse non-finite input with
+``finite_complex``; ``log_at`` trusts its caller.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ class CutAngle:
         return self.normalized
 
 
+def finite_complex(value, name: str) -> complex:
+    """complex(value), refused with a ValueError naming ``name`` unless finite."""
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} {z} is not finite")
+    return z
+
+
 def as_cut(theta) -> CutAngle:
     return theta if isinstance(theta, CutAngle) else CutAngle(float(theta))
 
@@ -111,11 +121,12 @@ def log_at(lam: complex, th: float) -> complex:
 def log_cut(lam: complex, theta) -> complex:
     """Branch of log(lam) with imaginary part in (theta, theta + 2*pi).
 
-    Raises ZeroInputError for lam = 0 and OnCutError when lam lies on the cut ray.
+    Raises ZeroInputError for lam = 0, OnCutError when lam lies on the cut ray
+    and ValueError when lam is not finite.
     """
-    return log_at(complex(lam), as_cut(theta).normalized)
+    return log_at(finite_complex(lam, "lam"), as_cut(theta).normalized)
 
 
 def pow_cut(lam: complex, s: complex, theta) -> complex:
-    """lambda^{-s} along the cut: exp(-s * log_cut(lam, theta))."""
-    return cmath.exp(-complex(s) * log_cut(lam, theta))
+    """lambda^{-s} along the cut: exp(-s * log_cut(lam, theta)); s must be finite."""
+    return cmath.exp(-finite_complex(s, "s") * log_cut(lam, theta))

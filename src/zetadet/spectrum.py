@@ -32,7 +32,7 @@ from collections import namedtuple
 from dataclasses import InitVar, dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Tuple
 
-from .complexcut import LOG_2, CutAngle, ang_dist, as_cut, phase
+from .complexcut import LOG_2, CutAngle, ang_dist, as_cut, finite_complex, phase
 from .config import IMAG_AXIS, MERGE_SIGNIFICANT_DIGITS
 from .errors import DomainError, NotAgmonError
 
@@ -81,14 +81,6 @@ def _line_window(a: complex, directions: Iterable[float]) -> range:
     if not ks:
         return range(0)
     return range(min(ks) - 1, max(ks) + 3)
-
-
-def _finite_parameter(a) -> complex:
-    """complex(a), refused unless finite: the check every lattice parameter meets."""
-    a = complex(a)
-    if not cmath.isfinite(a):
-        raise ValueError(f"lattice parameter {a} is not finite")
-    return a
 
 
 def _check_multiplicity(m) -> None:
@@ -225,7 +217,7 @@ class LatticeFamily(Spectrum):
     restrictable: ClassVar[bool] = True
 
     def __post_init__(self):
-        a = _finite_parameter(self.a)
+        a = finite_complex(self.a, "lattice parameter")
         if self.order == 2:
             a, _ = _normalize_log_param(a)
         object.__setattr__(self, "a", a)

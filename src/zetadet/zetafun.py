@@ -20,12 +20,22 @@ sum over j in closed form,
     T(s, w) = zeta_H(scale*s, w) + sum_{k<N-1} (w + k)^{-scale*s} * ((1 + x_k)^{-s} - 1)
               + sum_{j>=1} binom(-s, j) * v^(2j) * zeta_H(scale*s + 2j, w + N - 1),
 
-with x_k = v^2 / (w + k)^2 (for T'(0, w) the middle sum is -sum log1p(x_k)),
-so every rung keeps its remainder at w + N and the series converges at the
-ratio v^2 / (w + N - 1)^2.  eta applies one sign rule to the finite points and
-to the head of {a + n}: weight m for Re > 0, the point negated at weight -m for
-Re < 0, the imaginary axis left out; the left tail of {a + n} is negated onto
-the tail at 0 with sign -1.
+with x_k = v^2 / (w + k)^2, so every rung keeps its remainder at w + N and the
+series converges at the ratio v^2 / (w + N - 1)^2; its head ends past 2|Im a|.
+For zeta'(0) the Hermitian head ends instead at w >= 7, whatever v, and
+
+    T'(0, w) = 2*(log Gamma(w) - log(2*pi)/2) - sum_{n>=0} h(w + n),  h(x) = log1p(v^2 / x^2),
+
+sums h by Euler-Maclaurin on h itself, with no Hurwitz call: the integral, the
+half term and Bernoulli terms in the Stirling coefficients C_k, whose
+w^(1-2k) parts cancel those of log Gamma(w)'s Stirling series, leaving
+
+    T'(0, w) = (w - 1/2)*log(w^2 + v^2) - 2v*arctan(v/w) - 2w + 2*sum_k C_k*Re (w + iv)^(1-2k).
+
+eta applies one sign rule to the finite points and to the head of {a + n}:
+weight m for Re > 0, the point negated at weight -m for Re < 0, the imaginary
+axis left out; the left tail of {a + n} is negated onto the tail at 0 with
+sign -1.
 """
 
 from __future__ import annotations
@@ -36,10 +46,10 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .complexcut import TAU, CutAngle, ang_dist, as_cut, branch_angle, log_at
+from .complexcut import TAU, CutAngle, ang_dist, as_cut, branch_angle, finite_complex, log_at
 from .config import AGMON_EPSILON, IMAG_AXIS, em_num_terms, explicit_terms
 from .errors import DomainError, PoleError
-from .kernels import hurwitz_zeta_raw, log_gamma
+from .kernels import _STIRLING_COEF, hurwitz_zeta_raw, log_gamma
 from .spectrum import (
     Finite,
     HermQuadLattice,
@@ -55,6 +65,8 @@ from .spectrum import (
 _PI = math.pi
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * _PI)
 _SERIES_CAP = 200
+# the least start of the Hermitian tail of zeta'(0): its remainders are below 1e-17 there
+_HERM_DS0_START = 7.0
 
 
 @dataclass(frozen=True)
@@ -69,8 +81,8 @@ def _hz(s: complex, q: complex):
 
 def hurwitz_zeta(s: complex, q: complex) -> ZetaResult:
     """Analytic continuation of sum_{n>=0} (n+q)^{-s} for Re(q) > 0."""
-    s = complex(s)
-    q = complex(q)
+    s = finite_complex(s, "s")
+    q = finite_complex(q, "q")
     if s == 1:
         raise PoleError(1, "the Hurwitz zeta function has its pole at s=1")
     if q.real <= 0.0:
@@ -81,7 +93,7 @@ def hurwitz_zeta(s: complex, q: complex) -> ZetaResult:
 
 def hurwitz_zeta_ds0(q: complex) -> complex:
     """d/ds of the Hurwitz zeta at s=0: log Gamma(q) - log(2*pi)/2."""
-    q = complex(q)
+    q = finite_complex(q, "q")
     if q.real <= 0.0:
         raise DomainError("hurwitz_zeta_ds0 requires Re(q) > 0")
     return log_gamma(q) - _HALF_LOG_TWO_PI
@@ -154,58 +166,74 @@ def _quad(f: QuadLattice, cut: CutAngle) -> tuple:
     return head, ((1, 2 * _tail_winding(0.0, th), (atil + buf_r, qm + buf_l)),)
 
 
-def _herm(f: HermQuadLattice, cut: CutAngle) -> tuple:
-    """{|a + n|^2}: the squares of Re a + n, offset by v^2 = (Im a)^2."""
+def _herm(f: HermQuadLattice, cut: CutAngle, deriv: bool) -> tuple:
+    """{|a + n|^2}: the squares of Re a + n, offset by v^2 = (Im a)^2; zeta'(0)'s with ``deriv``."""
     atil, _ = _normalize_log_param(f.a)
     head, ws = [], []
     for q in (atil, 1.0 - atil):
-        # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
-        buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
+        if deriv:
+            buf = explicit_terms(_HERM_DS0_START - q.real)
+        else:
+            # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
+            buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
         head += [(abs(q + m) ** 2, 1) for m in range(buf)]
         ws.append(q.real + buf)
     k = 2 * _tail_winding(0.0, cut.normalized)
     return head, ((1, k, tuple(ws)),)
 
 
-_LAYOUTS = {Lattice: _lattice, QuadLattice: _quad, HermQuadLattice: _herm}
+_LAYOUTS = {Lattice: _lattice, QuadLattice: _quad}
 
 
 # ---------------------------------------------------------------------------
 # the evaluator
 
 
-def _tail(scale: int, v2: float, w, s, errs: list) -> complex:
+def _herm_ds0(v: float, w: float, errs: list) -> float:
+    """T'(0, w) of the Hermitian tail, w >= 7, as the module docstring sets out.
+
+    The Euler-Maclaurin terms of h(x) = log1p(v^2 / x^2) are
+    B_2k/(2k)! * h^(2k-1)(w) = 2*C_k*(Re (w + iv)^(1-2k) - w^(1-2k)).  The error
+    estimate bounds both remainders: the Euler-Maclaurin one by 4*|C_13|*w^-25,
+    from |h^(26)(x)| <= 4 * 25! * x^-26, and twice Stirling's, 2*|C_14|*w^-27,
+    by |C_13|*w^-25; at w = 7 the sum is 8.2e-18.
+    """
+    total = (w - 0.5) * math.log(w * w + v * v) - 2.0 * v * math.atan(v / w) - 2.0 * w
+    z = 1.0 / complex(w, v)
+    z2 = z * z
+    for coef in _STIRLING_COEF:
+        total += 2.0 * coef * z.real
+        z *= z2
+    errs.append(5.0 * _STIRLING_COEF[-1] * w ** -25)
+    return total
+
+
+def _tail(scale: int, v, w, s, errs: list) -> complex:
     """T(s, w) = sum_j binom(-s, j) v^(2j) zeta_H(scale*s + 2j, w); T'(0, w) when s is None.
 
-    The rungs j >= 1 start at w + N - 1 and their first N - 1 shifts are summed
+    ``v`` is None for a family without the Hermitian offset.  For values the
+    rungs j >= 1 start at w + N - 1 and their first N - 1 shifts are summed
     over j in closed form, as the module docstring sets out.
     """
-    deriv = s is None
-    if deriv:
-        s = 0.0
-        total = scale * (log_gamma(w) - _HALF_LOG_TWO_PI)
-    else:
-        total, err = _hz(scale * s, w)
-        errs.append(err)
-    if not v2:
+    if s is None:
+        return scale * (log_gamma(w) - _HALF_LOG_TWO_PI) if v is None else _herm_ds0(v, w, errs)
+    total, err = _hz(scale * s, w)
+    errs.append(err)
+    if not v:
         return total
+    v2 = v * v
     near = em_num_terms(complex(scale * s), w) - 1
     for k in range(near):
         x = v2 / ((w + k) * (w + k))
-        if deriv:
-            total -= math.log1p(x)
-        else:
-            total += cmath.exp(-scale * s * math.log(w + k)) * (cmath.exp(-s * math.log1p(x)) - 1.0)
+        total += cmath.exp(-scale * s * math.log(w + k)) * (cmath.exp(-s * math.log1p(x)) - 1.0)
     w_far = w + near
     c = vpow = 1.0
     for j in range(1, _SERIES_CAP):
         vpow *= v2
         if vpow == 0.0:
             break
-        # d/ds binom(-s, j) at s = 0 is (-1)^j / j
-        c = (-1.0) ** j / j if deriv else c * ((-s - (j - 1)) / j)
-        # One explicit term, not zero: perfbench counts Euler-Maclaurin terms from
-        # n_terms, and its tracer test needs that count above zero on a torsion job.
+        c *= (-s - (j - 1)) / j
+        # one explicit term at w + N - 1 leaves the rung's remainder at w + N
         zj, ej = hurwitz_zeta_raw(scale * s + 2 * j, w_far, 1)
         term = c * vpow * zj
         total += term
@@ -217,19 +245,28 @@ def _tail(scale: int, v2: float, w, s, errs: list) -> complex:
 
 
 def _family(f: Spectrum, cut: CutAngle, s, eta: bool) -> tuple:
-    """(scale, v^2, head, tail groups) of a lattice family, refused at a pole; eta's with ``eta``."""
+    """(scale, v, head, tail groups) of a lattice family, refused at a pole; eta's with ``eta``.
+
+    v = |Im a| offsets the Hermitian squares; it is None for the other families.
+    """
     if eta:
         f = _eta_family(f)
-    # the Hurwitz scale is the family's growth order; v^2 offsets the Hermitian squares
+    # the Hurwitz scale is the family's growth order
     scale = f.order
-    v2 = f.a.imag * f.a.imag if isinstance(f, HermQuadLattice) else 0.0
+    herm = isinstance(f, HermQuadLattice)
+    v = abs(f.a.imag) if herm else None
     if s is not None:
         j = 0.5 * (1.0 - scale * s.real)
         # zeta_H(scale*s + 2j, w) has its pole at 1; beyond j = 0 only a series meets it
-        if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v2 > 0.0):
+        if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v):
             raise PoleError(s.real, f"pole at s={s.real:.17g}")
-    head, groups = _lattice_eta(f, cut) if eta else _LAYOUTS[type(f)](f, cut)
-    return scale, v2, head, groups
+    if eta:
+        head, groups = _lattice_eta(f, cut)
+    elif herm:
+        head, groups = _herm(f, cut, s is None)
+    else:
+        head, groups = _LAYOUTS[type(f)](f, cut)
+    return scale, v, head, groups
 
 
 def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
@@ -252,7 +289,7 @@ def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
     ns = None if s is None else -s
     value = err = None
     for f in families + (None,) if points or not families else families:
-        scale, v2, head, groups = (0, 0.0, points, ()) if f is None else _family(f, cut, s, eta)
+        scale, im, head, groups = (0, None, points, ()) if f is None else _family(f, cut, s, eta)
         total = 0.0 + 0.0j
         if f is None and own:
             for (v, m), lm, arg in zip(head, spec.log_moduli, spec.phases):
@@ -268,7 +305,7 @@ def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
         for sign, k, ws in groups:
             tails = 0.0
             for w in ws:
-                tails += _tail(scale, v2, w, s, errs)
+                tails += _tail(scale, im, w, s, errs)
                 if s is None:
                     tails += -1j * _PI * k * (0.5 - w)
             if s is not None:
@@ -296,12 +333,13 @@ def _lat_eta0(f: Lattice) -> complex:
 
 def spectral_zeta(spec: Spectrum, theta, s) -> ZetaResult:
     """zeta_theta(s, D) = sum of m_k * lambda_k^{-s} along the cut."""
+    s = finite_complex(s, "s")
     cut = as_cut(theta)
     certify_agmon(spec, cut, AGMON_EPSILON)
     try:
-        value, err = _evaluate(spec, cut, complex(s))
+        value, err = _evaluate(spec, cut, s)
     except OverflowError:
-        raise OverflowError(f"spectral zeta of {spec} at s={complex(s)} overflows the float range") from None
+        raise OverflowError(f"spectral zeta of {spec} at s={s} overflows the float range") from None
     return ZetaResult(value, err)
 
 
@@ -323,9 +361,10 @@ def zeta_ds_at_zero(spec: Spectrum, theta) -> complex:
 
 def eta_function(spec: Spectrum, theta, s) -> complex:
     """Spectral asymmetry function; imaginary-axis eigenvalues are excluded."""
+    s = finite_complex(s, "s")
     cut = as_cut(theta)
     certify_agmon(spec, cut, AGMON_EPSILON)
-    return _evaluate(spec, cut, complex(s), eta=True)[0]
+    return _evaluate(spec, cut, s, eta=True)[0]
 
 
 def _eta_at_zero(spec: Spectrum) -> complex:

@@ -205,6 +205,20 @@ class TestRaySinger:
         got = ray_singer_torsion(build_rank1(complex(re, im)))
         assert float(abs(got - ref) / ref) <= 5e-14 * float(mpmath.log(ref))
 
+    @pytest.mark.parametrize("im", [10.0, -40.0, 100.7, -150.0, 220.0, -220.0])
+    @pytest.mark.parametrize("re", [0.3, 0.77, -1.41, 2.5])
+    def test_log_error_stays_absolute_at_large_imaginary_part(self, re, im):
+        # the head has a fixed size, so log T^RS ~ pi*|Im a| carries only its own rounding
+        ref = float(mpmath.log(self._closed_form(complex(re, im))))
+        assert abs(math.log(ray_singer_torsion(build_rank1(complex(re, im)))) - ref) <= 2e-13
+
+    @pytest.mark.parametrize("im", [1e6, -1e6, 1e200])
+    def test_overflow_names_the_model(self, im):
+        model = build_rank1(complex(0.3, im))
+        with pytest.raises(OverflowError) as excinfo:
+            ray_singer_torsion(model)
+        assert str(excinfo.value).startswith(f"Ray-Singer torsion of {model}")
+
     def test_arg_class_of_model_is_that_of_its_representation(self):
         for params in ((0.25 + 0.1j, 1), (0.75 - 0.2j, 2)), ((0.5 + 0.3j, 3),), ((0.9 - 2.0j, 1),):
             model = CircleModel(params)

@@ -59,6 +59,17 @@ def _csv_job(stdout):
     return recs
 
 
+@pytest.mark.parametrize("argv", [[], ["checkout"], ["--compare"], ["--compare", "a.json"], ["a", "b", "c"]])
+def test_wrong_arguments_print_usage_and_exit_2(capsys, argv):
+    assert cli_outputs.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "Usage: python tools/cli_outputs.py CHECKOUT OUT.json",
+        "       python tools/cli_outputs.py --compare A.json B.json",
+    ]
+
+
 def test_identical_recordings_exit_0(tmp_path, capsys):
     assert _compare(tmp_path, _recording()) == 0
     out = capsys.readouterr().out

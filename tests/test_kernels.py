@@ -1,7 +1,9 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from zetadet import kernels
@@ -76,3 +78,16 @@ class TestLogGammaKernel:
             total = impl.log_gamma(z) + impl.log_gamma(1 - z)
             expected = cmath.log(math.pi / cmath.sin(math.pi * z))
             assert cmath.exp(total) == pytest.approx(cmath.exp(expected), rel=1e-12)
+
+    def test_against_mpmath_on_random_points(self, impl):
+        # two regions: near the shift recursion, Re z in (0, 2] with |Im z| <= 7.5,
+        # and the wider Re z in (0, 40] with |Im z| <= 60
+        rng = random.Random(29)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for _ in range(3000):
+                for width, height in ((2.0, 7.5), (40.0, 60.0)):
+                    z = complex(width * (1.0 - rng.random()), rng.uniform(-height, height))
+                    ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+                    worst = max(worst, float(abs(impl.log_gamma(z) - ref) / max(1, abs(ref))))
+        assert worst <= 2e-14

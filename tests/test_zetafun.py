@@ -27,7 +27,7 @@ from zetadet import (
     zeta_at_zero,
     zeta_ds_at_zero,
 )
-from zetadet.complexcut import pow_cut
+from zetadet.complexcut import log_cut, pow_cut
 from zetadet.config import IMAG_AXIS
 
 from helpers import direct_hurwitz_sum
@@ -150,7 +150,7 @@ class TestSpectralZeta:
         a = 0.35 + 0.25j
         theta = -1.1
         s = 3.0 + 0.5j
-        from zetadet.complexcut import pow_cut
+        from zetadet.complexcut import log_cut, pow_cut
 
         brute = sum(pow_cut(a + n, s, theta) for n in range(-30_000, 30_001))
         res = spectral_zeta(Lattice(a), theta, s).value
@@ -347,6 +347,29 @@ class TestExplicitTermCap:
         with pytest.raises(DomainError, match="cap"):
             compute()
         assert time.perf_counter() - started < 2.0
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "compute, name",
+    [
+        pytest.param(lambda: hurwitz_zeta(_NAN, 1), "s", id="hurwitz-s"),
+        pytest.param(lambda: hurwitz_zeta(2, complex(1, _INF)), "q", id="hurwitz-q"),
+        pytest.param(lambda: hurwitz_zeta_ds0(_NAN), "q", id="hurwitz-ds0-nan"),
+        pytest.param(lambda: hurwitz_zeta_ds0(_INF), "q", id="hurwitz-ds0-inf"),
+        pytest.param(lambda: pow_cut(2, _NAN, 0.3), "s", id="pow-cut-s"),
+        pytest.param(lambda: log_cut(complex(_NAN, 1), 0.3), "lam", id="log-cut-nan"),
+        pytest.param(lambda: log_cut(complex(_INF, 1), 0.3), "lam", id="log-cut-inf"),
+        pytest.param(lambda: spectral_zeta(Lattice(0.3 + 0.1j), -0.7, _INF), "s", id="zeta-inf"),
+        pytest.param(lambda: spectral_zeta(Lattice(0.3 + 0.1j), -0.7, _NAN), "s", id="zeta-nan"),
+        pytest.param(lambda: eta_function(Lattice(0.3 + 0.1j), -0.7, complex(1, _NAN)), "s", id="eta-nan"),
+    ],
+)
+def test_non_finite_input_is_refused_by_name(compute, name):
+    with pytest.raises(ValueError, match=rf"^{name} .* is not finite$"):
+        compute()
 
 
 

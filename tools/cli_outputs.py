@@ -16,7 +16,8 @@ per output key, how many numbers moved and the largest absolute and relative
 move (relative to the value in A).  It exits 1 when a job differs in exit
 code, stderr, a check's ``pass``, a row's ``status``, any other non-numeric
 value, or the output's structure (keys, row counts, value types), and 0
-otherwise, however far the numbers moved.
+otherwise, however far the numbers moved.  Any other arguments print the usage
+lines to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -199,11 +200,19 @@ def compare(path_a: str, path_b: str) -> int:
     return 1 if problems else 0
 
 
+def _usage() -> int:
+    """Print the usage lines of the module docstring to stderr; exit code 2."""
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if args[:1] == ["--compare"]:
-        return compare(*args[1:3])
-    checkout, out_path = args[:2]
+        return compare(*args[1:]) if len(args) == 3 else _usage()
+    if len(args) != 2 or args[0].startswith("-"):
+        return _usage()
+    checkout, out_path = args
     checkout = os.path.abspath(checkout)
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import gen
