@@ -28,14 +28,13 @@ from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 from .complexcut import CutAngle, finite_complex
 from .config import (
     ACYCLIC_DISTANCE,
-    ARG_PAIRING_SIGN,
     CR_MAX_STEP,
     CR_MIN_INTEGER_DISTANCE,
     FAMILY_GRID,
     MIN_ODE_STEPS,
 )
 from .determinant import LDetResult, ldet, pick_det_eta_cut
-from .errors import EigenFailureError, NonAcyclicError
+from .errors import DomainError, EigenFailureError, NonAcyclicError
 from .spectrum import (
     DirectSum,
     HermQuadLattice,
@@ -100,8 +99,6 @@ class TrsReport:
     ray_singer: float
     im_eta: float
     residual_log_ratio: float
-    residual_modulus: float
-    residual_arg_pairing: float
 
 
 def build_rank1(a: complex) -> CircleModel:
@@ -228,7 +225,7 @@ def model_arg_class(model: CircleModel) -> complex:
 
 
 def trs_comparison(model: CircleModel, report: TorsionReport | None = None) -> TrsReport:
-    """Residuals of the torsion / Ray-Singer comparison identities.
+    """Residual of the torsion / Ray-Singer comparison log|T| = log T^RS + pi Im eta.
 
     ``report`` is the model's ``refined_torsion`` when the caller has it.
     """
@@ -237,17 +234,7 @@ def trs_comparison(model: CircleModel, report: TorsionReport | None = None) -> T
     t_abs = abs(report.torsion)
     trs = report.ray_singer
     r_log = abs(math.log(t_abs / trs) - _PI * report.im_eta)
-    r_mod = abs(t_abs - trs * math.exp(_PI * report.im_eta))
-    im_arg = model_arg_class(model).imag
-    r_arg = abs(math.log(t_abs / trs) - ARG_PAIRING_SIGN * _PI * im_arg)
-    return TrsReport(
-        torsion=report.torsion,
-        ray_singer=trs,
-        im_eta=report.im_eta,
-        residual_log_ratio=r_log,
-        residual_modulus=r_mod,
-        residual_arg_pairing=r_arg,
-    )
+    return TrsReport(torsion=report.torsion, ray_singer=trs, im_eta=report.im_eta, residual_log_ratio=r_log)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +447,15 @@ def cr_residual(fn: Callable[[complex], complex], a: complex, h: float) -> float
     """|d/d(conj a)| of ``fn`` at ``a`` from central differences with step ``h``.
 
     For a holomorphic map the result is pure discretization error.  Raises
-    OverflowError when the differences leave the float range.
+    DomainError, before ``fn`` is called, when ``h`` is too small to move a
+    stencil point off ``a``, and OverflowError when the differences leave the
+    float range.
     """
-    d_re = (fn(a + h) - fn(a - h)) / (2.0 * h)
-    d_im = (fn(a + 1j * h) - fn(a - 1j * h)) / (2.0 * h)
+    stencil = (a + h, a - h, a + 1j * h, a - 1j * h)
+    if a in stencil:
+        raise DomainError(f"the step {h} is below the float spacing at a={a}: a stencil point equals a")
+    d_re = (fn(stencil[0]) - fn(stencil[1])) / (2.0 * h)
+    d_im = (fn(stencil[2]) - fn(stencil[3])) / (2.0 * h)
     res = abs(0.5 * (d_re + 1j * d_im))
     if not math.isfinite(res):
         raise OverflowError(f"the finite differences at a={a} with step {h} lie beyond the float range")

@@ -8,16 +8,13 @@ code is 0 iff all requested checks pass.
 
 Output is deterministic for a fixed config and build except for the
 ``wallTimeSeconds`` field.  ``main(argv)`` may be called many times in one
-process: it builds its argument parser once, on first use, and its output
-equals that of the shell CLI.
+process, and its output equals that of the shell CLI.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -408,7 +405,7 @@ def run(cfg: JobConfig) -> dict:
 
 
 def render_json(result: dict) -> str:
-    return json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return _ENCODER.encode(result) + "\n"
 
 
 def render_csv(result: dict) -> str:
@@ -445,6 +442,13 @@ def _refuse_constant(literal: str):
     raise SchemaError("bad-json", f"config holds {literal}, which JSON does not allow")
 
 
+# One codec per process: json.loads and json.dumps build a new one per call when given options.
+# A result is a tree (the decoded config beside values ``run`` builds), so no cycle needs checking;
+# a config nested past the recursion limit still raises RecursionError.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
+
+
 # A number literal of magnitude 10^309 or more has an exponent of three digits or,
 # with an exponent of at most 99, at least 210 digits before its point.  The text
 # is searched for either shape with every digit read as 0, E as e and plus signs
@@ -473,46 +477,136 @@ def _refuse_overflow(raw: dict) -> None:
             stack.extend((f"{path}[{i}]", value) for i, value in enumerate(node))
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise SchemaError("bad-args", message)
+_USAGE = """\
+usage: zetadet [-h] --config CONFIG [--out OUT] [--format {json,csv}]
+               [--tol-overrides TOL_OVERRIDES]
+               COMMANDS
+
+zeta determinants, eta invariants, and refined torsion
+
+positional arguments:
+  COMMANDS
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       config path or - for stdin
+  --out OUT             output path (default stdout)
+  --format {json,csv}
+  --tol-overrides TOL_OVERRIDES
+                        k=v[,k=v...] tolerance overrides
+""".replace("COMMANDS", "{" + ",".join(COMMANDS) + "}")
+_OPTIONS = ("--help", "--config", "--out", "--format", "--tol-overrides")
+_FORMATS = ("json", "csv")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-@functools.cache
-def _parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
-        prog="zetadet",
-        description="zeta determinants, eta invariants, and refined torsion",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="config path or - for stdin")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol-overrides", default="", help="k=v[,k=v...] tolerance overrides")
-    return parser
+def _choice(where: str, value: str, choices: tuple) -> str:
+    if value not in choices:
+        _fail("bad-args", f"argument {where}: invalid choice: {value!r} (choose from {str(choices)[1:-1]})")
+    return value
+
+
+def _option(arg: str) -> tuple[str, str | None] | None:
+    """The option ``arg`` names and its ``=value``, or None when ``arg`` is a value or the command.
+
+    A unique prefix of a long option names it.  As in argparse, "-", a negative
+    number, and an argument with a space that names no option are values.
+    """
+    if arg in _OPTIONS:
+        return arg, None
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg.startswith("-h"):  # as argparse reads it: -hh is -h -h, and -hx or -h=x gives -h the value x
+        tail = arg[3:] if arg[2:3] == "=" else arg[2:]
+        return "--help", tail.lstrip("h") or ("" if arg == "-h=" else None)
+    if arg.startswith("--"):
+        name, eq, value = arg.partition("=")
+        matches = [option for option in _OPTIONS if option.startswith(name)]
+        if len(matches) > 1:
+            _fail("bad-args", f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    if _NEGATIVE_NUMBER.fullmatch(arg) or " " in arg:
+        return None
+    return arg, None
+
+
+def _parse_args(argv: list[str]) -> tuple[str, str, str | None, str, str]:
+    """(command, config, out, format, tol_overrides) of a command line.
+
+    The command may stand anywhere among the options; an option takes its value
+    as the next argument or after "=", and the last of a repeated option wins;
+    a "--" stands right before or right after the command, and no argument after
+    it is an option.  ``-h``/``--help`` prints ``_USAGE`` and raises
+    ``SystemExit(0)``.  Anything else raises ``SchemaError("bad-args", ...)``;
+    arguments are read in order, and unknown ones are refused after the last,
+    as argparse does.
+    """
+    cut = argv.index("--") if "--" in argv else len(argv)
+    args = argv[:cut] + argv[cut + 1:]
+    options = [_option(arg) for arg in argv[:cut]] + [None] * (len(args) - cut)
+    values = {"--config": None, "--out": None, "--format": "json", "--tol-overrides": ""}
+    command, extras = None, []
+    i = 0
+    while i < len(args):
+        arg, option = args[i], options[i]
+        i += 1
+        if option is None:
+            if command is None:
+                command, command_at = _choice("command", arg, COMMANDS), i - 1
+            else:
+                extras.append(arg)
+            continue
+        name, value = option
+        if name == "--help":
+            if value is not None:
+                _fail("bad-args", f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_USAGE)
+            raise SystemExit(0)
+        if name not in values:
+            extras.append(arg)
+            continue
+        if value is None:
+            if i >= cut or options[i] is not None:
+                _fail("bad-args", f"argument {name}: expected one argument")
+            value = args[i]
+            i += 1
+        values[name] = _choice(name, value, _FORMATS) if name == "--format" else value
+    if cut < len(argv) and command is not None and command_at not in (cut - 1, cut):
+        extras.append("--")
+    missing = [name for name, value in (("command", command), ("--config", values["--config"])) if value is None]
+    if missing:
+        _fail("bad-args", f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail("bad-args", f"unrecognized arguments: {' '.join(extras)}")
+    return command, values["--config"], values["--out"], values["--format"], values["--tol-overrides"]
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        if args.config == "-":
+        command, config, out, fmt, tol_overrides = _parse_args(sys.argv[1:] if argv is None else argv)
+        if config == "-":
             text = sys.stdin.read()
         else:
-            with open(args.config) as fh:
+            with open(config) as fh:
                 text = fh.read()
         try:
-            raw = json.loads(text, parse_constant=_refuse_constant)
+            if text.startswith("\ufeff"):  # as json.loads refuses it; the decoder alone would not name it
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+            raw = _DECODER.decode(text)
         except json.JSONDecodeError as exc:
             raise SchemaError("bad-json", f"config is not valid JSON: {exc}")
+        except RecursionError as exc:
+            raise SchemaError("bad-json", f"config nests too deeply: {exc}")
         if not isinstance(raw, dict):
             raise SchemaError("bad-config", "configuration must be a JSON object")
         if _may_overflow(text):
             _refuse_overflow(raw)
-        raw.setdefault("command", args.command)
-        if raw["command"] != args.command:
+        raw.setdefault("command", command)
+        if raw["command"] != command:
             raise SchemaError("bad-command", "config command disagrees with CLI command")
-        if args.tol_overrides and isinstance(raw.get("tolerances", {}), dict):
-            raw["tolerances"] = {**raw.get("tolerances", {}), **_parse_tol_overrides(args.tol_overrides)}
+        if tol_overrides and isinstance(raw.get("tolerances", {}), dict):
+            raw["tolerances"] = {**raw.get("tolerances", {}), **_parse_tol_overrides(tol_overrides)}
         cfg = parse_config(raw)
         floating_point = contextlib.nullcontext()
         if _builds_matrices(cfg):
@@ -520,9 +614,12 @@ def main(argv: list[str] | None = None) -> int:
             floating_point = np.errstate(over="raise", invalid="raise", divide="raise")
         with floating_point:
             result = run(cfg)
-        rendered = render_json(result) if args.format == "json" else render_csv(result)
-        if args.out:
-            with open(args.out, "w") as fh:
+        try:
+            rendered = render_json(result) if fmt == "json" else render_csv(result)
+        except RecursionError as exc:  # only the echoed config can nest this deep
+            raise SchemaError("bad-json", f"config nests too deeply to echo: {exc}")
+        if out:
+            with open(out, "w") as fh:
                 fh.write(rendered)
         else:
             sys.stdout.write(rendered)

@@ -64,10 +64,6 @@ CR_MIN_INTEGER_DISTANCE = 0.05
 MIN_ODE_STEPS = 64
 FAMILY_GRID = 256
 
-# Empirically frozen global sign relating the torsion/Ray-Singer defect to the
-# imaginary part of the Arg class on the circle (orientation convention).
-ARG_PAIRING_SIGN = -1.0
-
 
 def em_num_terms(s: complex, q: complex) -> int:
     """Shift length N for the Euler-Maclaurin evaluation of the Hurwitz zeta.

@@ -1040,6 +1040,86 @@ class TestCliEntry:
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, canonical",
+        [
+            (["eta", "--config={cfg}"], ["eta", "--config", "{cfg}"]),
+            (["--config", "{cfg}", "eta"], ["eta", "--config", "{cfg}"]),
+            (["eta", "--conf", "{cfg}", "--form", "json"], ["eta", "--config", "{cfg}"]),
+            (["eta", "--c", "{cfg}", "--f=json"], ["eta", "--config", "{cfg}"]),
+            (["eta", "--config", "{cfg}", "--tol", "reality=1e-9"],
+             ["eta", "--config", "{cfg}", "--tol-overrides", "reality=1e-9"]),
+            (["eta", "--config", "BAD", "--config", "{cfg}"], ["eta", "--config", "{cfg}"]),
+            (["--config", "{cfg}", "--", "eta"], ["eta", "--config", "{cfg}"]),
+            (["eta", "--config", "{cfg}", "--format", "csv", "--format", "json"], ["eta", "--config", "{cfg}"]),
+        ],
+    )
+    def test_command_line_forms_read_as_the_canonical_one(self, tmp_path, capsys, argv, canonical):
+        cfg = tmp_path / "eta.json"
+        cfg.write_text(json.dumps({"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}}))
+        outputs = []
+        for args in (argv, canonical):
+            assert main([a.format(cfg=cfg) for a in args]) == 0
+            outputs.append(_mask_wall_time(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eta", "--config"], "argument --config: expected one argument"),
+            (["eta", "--config", "-", "--format", "xml"],
+             "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+            (["eta", "--config", "-", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+            (["eta", "det", "--config", "-"], "unrecognized arguments: det"),
+            ([], "the following arguments are required: command, --config"),
+            (["eta", "--config", "-", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+            (["eta", "--config", "-", "--"], "unrecognized arguments: --"),
+        ],
+    )
+    def test_refused_command_line_names_its_argument(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": {"code": "bad-args", "message": message}}
+
+    @pytest.mark.parametrize(
+        "argv", [["eta", "--config", "-", "-h"], ["eta", "--he", "--format", "xml"], ["--frobnicate", "--help"]]
+    )
+    def test_help_after_other_options_exits_0(self, capsys, argv):
+        # arguments are read in order, and an unknown one is refused after the last
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: zetadet")
+
+    def test_config_named_like_the_option_end_is_a_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eta", "--config=--"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "bad-file" and "'--'" in error["message"]
+
+    def test_config_with_a_byte_order_mark_is_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + json.dumps(_LATTICE_DET)))
+        assert main(["det", "--config", "-"]) == 2
+        message = "config is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+        assert json.loads(capsys.readouterr().err)["error"] == {"code": "bad-json", "message": message}
+
+    def test_deeply_nested_config_exits_2(self, monkeypatch, capsys):
+        # nested past the recursion limit, a config fails while it is decoded; a level or
+        # two less, it decodes and fails while it is echoed (its depth there depends on the stack)
+        messages = set()
+        for key, depth in [("eigenvalues", 3000), *(("junk", depth) for depth in range(800, 1001))]:
+            model = '{"type":"finite","eigenvalues":[{"re":2.0}],"' + key + '":' + "[" * depth + "]" * depth + "}"
+            monkeypatch.setattr("sys.stdin", io.StringIO('{"model":' + model + "}"))
+            rc = main(["det", "--config", "-"])
+            err = capsys.readouterr().err
+            if rc == 2:
+                error = json.loads(err)["error"]
+                assert error["code"] == "bad-json"
+                messages.add(error["message"].partition(":")[0])
+            else:
+                assert (rc, key) == (0, "junk")
+        assert messages == {"config nests too deeply", "config nests too deeply to echo"}
+
     def test_integral_float_multiplicity_accepted(self):
         lattice = {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}
         once = run(_job("det", {**lattice, "mu": 1}))["results"]["ldet"]
@@ -1049,7 +1129,7 @@ class TestCliEntry:
 
 
 class TestRepeatedMain:
-    """main() called many times in one process: one parser, no state carried between calls."""
+    """main() called many times in one process: no state carried between calls."""
 
     SCAN = {"command": "scan", "params": {"grid": {**ONE_POINT_GRID, "reSteps": 2, "reStop": 0.4}}}
     ETA = {"command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}}
@@ -1074,26 +1154,6 @@ class TestRepeatedMain:
         captured = capsys.readouterr()
         assert rc == 0
         assert (rc, _mask_wall_time(captured.out), captured.err) == _shell_cli(["eta", "--config", str(cfg)])
-
-    def test_parser_built_once(self, monkeypatch, tmp_path, capsys):
-        built = []
-        init = cli._ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
-        cli._parser.cache_clear()
-        cfg = tmp_path / "eta.json"
-        cfg.write_text(json.dumps(self.ETA))
-        codes = [main(argv) for argv in (
-            ["eta", "--config", str(cfg)],
-            ["eta", "--config", str(cfg), "--frobnicate"],
-            ["eta", "--config", str(cfg), "--format", "json"],
-        )]
-        assert codes == [0, 2, 0]
-        assert len(built) == 1
 
     def test_with_overrides_copies_only_when_overriding(self):
         tol = Tolerances()
@@ -1267,9 +1327,9 @@ print(json.dumps(seen))
 
 
 def test_cold_start_leaves_fractions_and_decimal_out():
-    # the kernels' Bernoulli table is integer pairs, so no job imports either module
+    # the kernels' Bernoulli table is integer pairs, so no job imports either module; argv needs no argparse
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, zetadet.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    code = "import sys, zetadet.cli; print(sorted({'fractions', 'decimal', 'argparse'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

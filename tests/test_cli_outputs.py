@@ -106,6 +106,7 @@ def test_changed_check_pass_exits_1(tmp_path, capsys):
     "change, message",
     [
         (lambda recs: recs[0].update(exit=1), "exit differs"),
+        (lambda recs: recs[0].update(stderr="bad\n"), "(torsion): stderr '' -> 'bad'"),
         (lambda recs: recs[0].update(stdout=json.dumps({**_JSON_OUT, "results": {}}) + "\n"), "output structure differs"),
         (lambda recs: recs[1].update(stdout=_CSV_OUT + "0.9,0.0,0.618,ok\n"), "output structure differs"),
         (lambda recs: recs.pop(), "2 jobs against 1"),
@@ -129,17 +130,23 @@ def _floats(node):
         yield node
 
 
-def _edge_records(tmp_path, monkeypatch):
-    # only the edge jobs: the seeded rounds take seconds
+def _records(tmp_path, monkeypatch):
+    # only the edge jobs and the command lines: the seeded rounds take seconds
     monkeypatch.setattr(cli_outputs, "SEEDS", ())
     monkeypatch.setattr(sys, "path", list(sys.path))
     out = tmp_path / "rec.json"
     assert cli_outputs.main([str(Path(__file__).resolve().parents[1]), str(out)]) == 0
     recs = json.loads(out.read_text())
-    assert [(r["workload"], r["slot"], r["argv"][0]) for r in recs] == [
-        ("edge", i, job["command"]) for i, job in enumerate(cli_outputs.EDGE_JOBS)
+    edge = [[job["command"], "--config", "-", "--format", "json"] for job in cli_outputs.EDGE_JOBS]
+    assert [(r["workload"], r["slot"], r["argv"]) for r in recs] == [
+        *(("edge", i, argv) for i, argv in enumerate(edge)),
+        *(("argv", i, argv) for i, argv in enumerate(cli_outputs.ARGV_CASES)),
     ]
     return recs
+
+
+def _edge_records(tmp_path, monkeypatch):
+    return _records(tmp_path, monkeypatch)[:len(cli_outputs.EDGE_JOBS)]
 
 
 def test_edge_jobs_are_recorded_with_positive_zeros(tmp_path, monkeypatch):
@@ -190,3 +197,19 @@ def test_hypothesis_jobs_name_their_witness(tmp_path, monkeypatch):
     assert errors[1]["message"] == (
         f"eigenvalue (-0.8322937+1.8185949j) lies in the hypothesis sector ({math.pi / 2}, {-math.pi / 4 + math.pi}]"
     )
+
+
+def test_command_lines_are_recorded_with_their_exit_codes(tmp_path, monkeypatch, capsys):
+    recs = _records(tmp_path, monkeypatch)[-len(cli_outputs.ARGV_CASES):]
+    assert [r["exit"] for r in recs] == [0] * 10 + [2] * 5
+    # the forms of one command line print one output, apart from the echoed tolerance override
+    eta = {r["stdout"] for r in recs[:8] if "--tol" not in r["argv"]}
+    assert len(eta) == 1 and json.loads(eta.pop())["results"]["eta"] == {"re": 0.2, "im": -0.1}
+    assert all(r["stdout"].startswith("usage: zetadet") and r["stderr"] == "" for r in recs[8:10])
+    errors = [json.loads(r["stderr"])["error"] for r in recs[10:]]
+    assert all(r["stdout"] == "" for r in recs[10:]) and {e["code"] for e in errors} == {"bad-args"}
+    assert errors[1]["message"] == "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"
+    # --compare reads the usage text and the empty command line
+    path, n = tmp_path / "rec.json", len(cli_outputs.EDGE_JOBS) + len(recs)
+    assert cli_outputs.main(["--compare", str(path), str(path)]) == 0
+    assert f"{n} jobs, {n} identical" in capsys.readouterr().out

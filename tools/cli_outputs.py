@@ -6,18 +6,19 @@ Usage: python tools/cli_outputs.py CHECKOUT OUT.json
 The first form runs the jobs of ``gen.make_round(workload, seed)`` for seeds
 1-3 of every benchmark workload, then the fixed ``EDGE_JOBS``, through
 ``zetadet.cli.main`` of the checkout at CHECKOUT (its ``src/`` and
-``perfbench/gen.py``), each with its own ``--format``, and writes per job the
-exit code, stdout with ``wallTimeSeconds`` blanked, and stderr.  Two
-checkouts give the same file exactly when their CLI output agrees, so
-``cmp A.json B.json`` checks byte identity.
+``perfbench/gen.py``), each with its own ``--format``, then the command lines
+of ``ARGV_CASES`` on one ``eta`` job, and writes per job the exit code,
+stdout with ``wallTimeSeconds`` blanked, and stderr.  Two checkouts give the
+same file exactly when their CLI output agrees, so ``cmp A.json B.json``
+checks byte identity.
 
 ``--compare`` parses the JSON and CSV stdout of both recordings and prints,
 per output key, how many numbers moved and the largest absolute and relative
 move (relative to the value in A).  It exits 1 when a job differs in exit
-code, stderr, a check's ``pass``, a row's ``status``, any other non-numeric
-value, or the output's structure (keys, row counts, value types), and 0
-otherwise, however far the numbers moved.  Any other arguments print the usage
-lines to stderr and exit 2.
+code, stderr (both are printed), a check's ``pass``, a row's ``status``, any
+other non-numeric value, or the output's structure (keys, row counts, value
+types), and 0 otherwise, however far the numbers moved.  Any other arguments
+print the usage lines to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -87,15 +88,35 @@ HYPOTHESIS_JOBS = (
     {"schemaVersion": 1, "command": "verify", "model": _finite(-0.8322937 + 1.8185949j, 3)},
 )
 EDGE_JOBS = ZERO_JOBS + CONSTANT_JOBS + CUT_RANGE_JOBS + HYPOTHESIS_JOBS
+# ARGV_CASES: command lines around ARGV_JOB, which they read from stdin, recorded
+# as workload "argv".  The first eight are forms of ["eta", "--config", "-"] and
+# the next two ask for help, all exiting 0; the last five exit 2 with bad-args.
+ARGV_JOB = {"schemaVersion": 1, "command": "eta", "model": {"type": "lattice", "a": {"re": 0.3, "im": 0.1}}}
+ARGV_CASES = (
+    ["eta", "--config=-"],
+    ["--config", "-", "eta"],
+    ["eta", "--conf", "-", "--form", "json"],
+    ["eta", "--c", "-", "--f=json"],
+    ["eta", "--config", "-", "--tol", "reality=1e-9"],
+    ["eta", "--config", "BAD", "--config", "-"],
+    ["--config", "-", "--", "eta"],
+    ["eta", "--config", "-", "--format", "csv", "--format", "json"],
+    ["--help"],
+    ["eta", "--config", "-", "-h"],
+    ["eta", "--config"],
+    ["eta", "--config", "-", "--format", "xml"],
+    ["eta", "--config", "-", "--frobnicate"],
+    ["eta", "det", "--config", "-"],
+    [],
+)
 
 _WALL = re.compile(r'"wallTimeSeconds":[^,}]*')
 
 
-def run_job(main, job) -> dict:
-    argv = [job.command, "--config", "-", "--format", job.fmt]
+def run_job(main, argv: list, config: dict) -> dict:
     out, err = io.StringIO(), io.StringIO()
     real_stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(job.config))
+    sys.stdin = io.StringIO(json.dumps(config))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -135,9 +156,7 @@ def _leaves(node, key: str, index: tuple, out: dict) -> None:
 def _parse(record: dict):
     """Parsed stdout: JSON, CSV as {"rows": [...]} with numeric cells as floats, else the text."""
     text = record["stdout"]
-    if not text:
-        return text
-    if record["argv"][-1] == "csv":
+    if text and record["argv"][-1:] == ["csv"]:
         rows = list(csv.DictReader(io.StringIO(text)))
         for row in rows:
             for k, v in row.items():
@@ -146,7 +165,7 @@ def _parse(record: dict):
                 except ValueError:
                     pass
         return {"rows": rows}
-    return json.loads(text)
+    return json.loads(text) if text.startswith("{") else text
 
 
 def _is_number(x) -> bool:
@@ -164,12 +183,14 @@ def compare(path_a: str, path_b: str) -> int:
         problems.append(f"{len(recs_a)} jobs against {len(recs_b)}")
     identical = 0
     for ra, rb in zip(recs_a, recs_b):
-        job = f"{ra['workload']} seed {ra['seed']} slot {ra['slot']} ({ra['argv'][0]})"
+        job = f"{ra['workload']} seed {ra['seed']} slot {ra['slot']} ({' '.join(ra['argv'][:1])})"
         if ra == rb:
             identical += 1
-        for field in ("workload", "seed", "slot", "argv", "exit", "stderr"):
+        for field in ("workload", "seed", "slot", "argv", "exit"):
             if ra[field] != rb[field]:
                 problems.append(f"{job}: {field} differs")
+        if ra["stderr"] != rb["stderr"]:
+            problems.append(f"{job}: stderr {ra['stderr'].rstrip()!r} -> {rb['stderr'].rstrip()!r}")
         leaves_a, leaves_b = {}, {}
         _leaves(_parse(ra), "", (), leaves_a)
         _leaves(_parse(rb), "", (), leaves_b)
@@ -218,13 +239,14 @@ def main(argv=None) -> int:
     import gen
     from zetadet import cli
 
+    rounds = [(workload, seed, gen.make_round(workload, seed)) for workload in gen.WORKLOADS for seed in SEEDS]
     records = []
-    for workload in gen.WORKLOADS:
-        for seed in SEEDS:
-            for i, job in enumerate(gen.make_round(workload, seed)):
-                records.append({"workload": workload, "seed": seed, "slot": i, **run_job(cli.main, job)})
-    for i, config in enumerate(EDGE_JOBS):
-        records.append({"workload": "edge", "seed": 0, "slot": i, **run_job(cli.main, gen.Job(config))})
+    for workload, seed, jobs in rounds + [("edge", 0, [gen.Job(config) for config in EDGE_JOBS])]:
+        for i, job in enumerate(jobs):
+            argv = [job.command, "--config", "-", "--format", job.fmt]
+            records.append({"workload": workload, "seed": seed, "slot": i, **run_job(cli.main, argv, job.config)})
+    for i, argv in enumerate(ARGV_CASES):
+        records.append({"workload": "argv", "seed": 0, "slot": i, **run_job(cli.main, argv, ARGV_JOB)})
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
