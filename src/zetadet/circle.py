@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
-from .complexcut import CutAngle, finite_complex
+from .complexcut import finite_complex
 from .config import (
     ACYCLIC_DISTANCE,
     CR_MAX_STEP,
@@ -39,9 +39,9 @@ from .spectrum import (
     DirectSum,
     HermQuadLattice,
     Lattice,
+    Record,
     Spectrum,
     dist_to_integers,
-    square_spectrum,
     _check_multiplicity,
     _normalize_log_param,
 )
@@ -54,23 +54,41 @@ _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CircleModel:
-    """Direct sum of rank-1 flat bundles, given by log parameters."""
+def _lattice_sum(parts: list) -> Spectrum:
+    return parts[0] if len(parts) == 1 else DirectSum(parts)
 
-    log_params: Tuple[Tuple[complex, int], ...]
 
-    def __post_init__(self):
-        lp = tuple((finite_complex(a, "lattice parameter"), m) for a, m in self.log_params)
-        object.__setattr__(self, "log_params", lp)
+class CircleModel(Record):
+    """Direct sum of rank-1 flat bundles, given by log parameters.
+
+    ``spectrum()`` is built once, on first use, and kept.
+    """
+
+    __slots__ = ("log_params", "_spectrum")
+    _fields = ("log_params",)
+
+    def __init__(self, log_params: Sequence[Tuple[complex, int]]):
+        lp = tuple((finite_complex(a, "lattice parameter"), m) for a, m in log_params)
         if not lp:
             raise ValueError("model requires at least one log parameter")
         for _, m in lp:
             _check_multiplicity(m)
+        self.log_params, self._spectrum = lp, None
+
+    @classmethod
+    def _acyclic(cls, log_params: Tuple[Tuple[complex, int], ...]) -> "CircleModel":
+        """The model of checked log parameters: finite complex numbers farther than
+        ACYCLIC_DISTANCE from the integers, with checked multiplicities.  Its spectrum
+        is built at once, without checking them again."""
+        model = object.__new__(cls)
+        model.log_params = log_params
+        model._spectrum = _lattice_sum([Lattice._checked(a, m) for a, m in log_params])
+        return model
 
     def spectrum(self) -> Spectrum:
-        parts = tuple(Lattice(a, m) for a, m in self.log_params)
-        return parts[0] if len(parts) == 1 else DirectSum(parts)
+        if self._spectrum is None:
+            self._spectrum = _lattice_sum([Lattice(a, m) for a, m in self.log_params])
+        return self._spectrum
 
     def representation(self) -> np.ndarray:
         """Diagonal loop representation exp(2*pi*i*a_j), per multiplicity."""
@@ -81,24 +99,8 @@ class CircleModel:
         return np.diag(np.array(diag, dtype=complex))
 
 
-@dataclass(frozen=True)
-class TorsionReport:
-    torsion: complex
-    xi: complex
-    eta: complex
-    graded_ldet: complex
-    ray_singer: float
-    im_eta: float
-    identity_residual: float
-    theta: CutAngle
-
-
-@dataclass(frozen=True)
-class TrsReport:
-    torsion: complex
-    ray_singer: float
-    im_eta: float
-    residual_log_ratio: float
+TorsionReport = namedtuple("TorsionReport", "torsion xi eta graded_ldet ray_singer im_eta identity_residual theta")
+TrsReport = namedtuple("TrsReport", "torsion ray_singer im_eta residual_log_ratio")
 
 
 def build_rank1(a: complex) -> CircleModel:
@@ -112,7 +114,7 @@ def build_rank1(a: complex) -> CircleModel:
         )
     if dist_to_integers(a) <= ACYCLIC_DISTANCE:
         raise NonAcyclicError(f"log parameter {a} is within tolerance of an integer")
-    return CircleModel(((a, 1),))
+    return CircleModel._acyclic(((finite_complex(a, "lattice parameter"), 1),))
 
 
 def build_from_monodromy(m: Sequence[Sequence[complex]] | np.ndarray) -> CircleModel:
@@ -144,14 +146,15 @@ def build_from_monodromy(m: Sequence[Sequence[complex]] | np.ndarray) -> CircleM
                 break
         else:
             params.append((a, 1))
-    return CircleModel(tuple(params))
+    return CircleModel._acyclic(tuple(params))
 
 
 def torsion_ldet(model: CircleModel) -> LDetResult:
     """The refined torsion alone: LDet of the even signature operator.
 
-    The cut is the one ``pick_det_eta_cut`` places for the lattice spectrum;
-    ``.ldet`` is the graded log-determinant and ``.det`` the torsion.
+    The cut is the one ``pick_det_eta_cut`` places for the lattice spectrum,
+    certified by the picker; ``.ldet`` is the graded log-determinant and
+    ``.det`` the torsion.
     """
     spec = model.spectrum()
     return ldet(spec, pick_det_eta_cut(spec))
@@ -164,11 +167,15 @@ def refined_torsion(model: CircleModel) -> TorsionReport:
     the lattice spectrum at the chosen cut, as in ``torsion_ldet``; xi is
     computed from the squared spectrum at the doubled cut, eta from the
     spectrum, and the report records the residual of graded_ldet = xi - i*pi*eta.
+    The picker's certificate covers the doubled cut too, so nothing is
+    certified by a scan.
     """
     spec = model.spectrum()
-    base = ldet(spec, pick_det_eta_cut(spec))
+    cut = pick_det_eta_cut(spec)
+    base = ldet(spec, cut)
+    square = cut.squared()
     # adding 0j turns a zero part of -0.0 into 0.0, so a real xi never prints -0.0
-    xi = -0.5 * zeta_ds_at_zero(square_spectrum(spec), base.theta.doubled()) + 0j
+    xi = -0.5 * zeta_ds_at_zero(square.spectrum, square) + 0j
     eta = eta_invariant(spec)
     residual = abs(base.ldet - (xi - 1j * _PI * eta))
 
@@ -186,13 +193,17 @@ def refined_torsion(model: CircleModel) -> TorsionReport:
 
 
 def ray_singer_torsion(model: CircleModel) -> float:
-    """exp(LDet_{-pi}(Laplacian on 1-forms) / 2), a positive real number."""
+    """exp(LDet_{-pi}(Laplacian on 1-forms) / 2), a positive real number.
+
+    Each Hermitian family's eigenvalues are positive reals, so its cut at -pi
+    comes certified (``HermQuadLattice.negative_axis_cut``).
+    """
     total = 0.0 + 0.0j
-    cut = CutAngle(-_PI)
     try:
         # an eigenvalue |a + n|^2 beyond the float range overflows before the sum
         for a, m in model.log_params:
-            total += -zeta_ds_at_zero(HermQuadLattice(a, m), cut)
+            family = HermQuadLattice(a, m)
+            total += -zeta_ds_at_zero(family, family.negative_axis_cut())
     except OverflowError:
         raise OverflowError(f"Ray-Singer torsion of {model}: an eigenvalue lies beyond the float range") from None
     try:
@@ -241,8 +252,7 @@ def trs_comparison(model: CircleModel, report: TorsionReport | None = None) -> T
 # connection families, monodromy, variation formulas
 
 
-@dataclass(frozen=True)
-class ConnectionFamily:
+class ConnectionFamily(Record):
     """Connection 1-form coefficient A(x, t) on [0, 2*pi), matrix valued.
 
     ``a_form`` maps (x, t) to an n x n array; ``psi`` optionally supplies the
@@ -252,20 +262,25 @@ class ConnectionFamily:
     once.
     """
 
-    a_form: Callable[[float, float], np.ndarray]
-    dim: int
-    psi: Callable[[float, float], np.ndarray] | None = None
-    constant_in_x: bool = False
+    __slots__ = ("a_form", "dim", "psi", "constant_in_x")
+    _fields = __slots__
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        a_form: Callable[[float, float], np.ndarray],
+        dim: int,
+        psi: Callable[[float, float], np.ndarray] | None = None,
+        constant_in_x: bool = False,
+    ):
         import numpy as np
-        a0 = np.asarray(self.a_form(0.0, 0.0), dtype=complex)
-        a1 = np.asarray(self.a_form(_TWO_PI, 0.0), dtype=complex)
-        if a0.shape != (self.dim, self.dim):
+        self.a_form, self.dim, self.psi, self.constant_in_x = a_form, dim, psi, constant_in_x
+        a0 = np.asarray(a_form(0.0, 0.0), dtype=complex)
+        a1 = np.asarray(a_form(_TWO_PI, 0.0), dtype=complex)
+        if a0.shape != (dim, dim):
             raise ValueError("a_form must return dim x dim matrices")
         if not np.allclose(a0, a1, atol=1e-10):
             raise ValueError("connection form must be 2*pi-periodic")
-        if self.constant_in_x and not np.array_equal(np.asarray(self.a_form(_PI, 0.0), dtype=complex), a0):
+        if constant_in_x and not np.array_equal(np.asarray(a_form(_PI, 0.0), dtype=complex), a0):
             raise ValueError("constant_in_x is set, but a_form(pi, 0) differs from a_form(0, 0)")
 
     @staticmethod
@@ -443,6 +458,14 @@ def eta_variation_check(a_path: Callable[[float], complex], dt: float, t: float 
     return abs(deriv - (-a_rate))
 
 
+def _stencil(a: complex, h: float) -> tuple:
+    """The points a + h, a - h, a + ih, a - ih; DomainError when one of them equals a."""
+    stencil = (a + h, a - h, a + 1j * h, a - 1j * h)
+    if a in stencil:
+        raise DomainError(f"the step {h} is below the float spacing at a={a}: a stencil point equals a")
+    return stencil
+
+
 def cr_residual(fn: Callable[[complex], complex], a: complex, h: float) -> float:
     """|d/d(conj a)| of ``fn`` at ``a`` from central differences with step ``h``.
 
@@ -451,9 +474,7 @@ def cr_residual(fn: Callable[[complex], complex], a: complex, h: float) -> float
     stencil point off ``a``, and OverflowError when the differences leave the
     float range.
     """
-    stencil = (a + h, a - h, a + 1j * h, a - 1j * h)
-    if a in stencil:
-        raise DomainError(f"the step {h} is below the float spacing at a={a}: a stencil point equals a")
+    stencil = _stencil(a, h)
     d_re = (fn(stencil[0]) - fn(stencil[1])) / (2.0 * h)
     d_im = (fn(stencil[2]) - fn(stencil[3])) / (2.0 * h)
     res = abs(0.5 * (d_re + 1j * d_im))
@@ -473,21 +494,20 @@ def scan_points(
     return [complex(re, im) for re in axis(*re_range, re_steps) for im in ims]
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    torsion: complex
-    ray_singer: float
-    im_eta: float
-    cr_residual: float
+ScanRow = namedtuple("ScanRow", "torsion ray_singer im_eta cr_residual")
 
 
 def scan_row(a: complex, h: float) -> ScanRow:
     """The torsion, T^RS, Im eta and ``cr_residual`` of a -> T at one point; never xi.
 
-    T, eta and T^RS come in the order ``refined_torsion`` takes them, then the
-    four finite-difference torsions, so a failing point names the same error.
+    The point is built first, so a non-acyclic one reads NonAcyclicError; then
+    the stencil is tested, so a step below the float spacing of ``a`` raises
+    DomainError before any torsion.  T, eta and T^RS come in the order
+    ``refined_torsion`` takes them, then the four finite-difference torsions,
+    so any other failing point names the error ``refined_torsion`` names.
     """
     model = build_rank1(a)
+    _stencil(a, h)
     torsion = torsion_ldet(model).det
     im_eta = eta_invariant(model.spectrum()).imag
     t_rs = ray_singer_torsion(model)
@@ -495,11 +515,7 @@ def scan_row(a: complex, h: float) -> ScanRow:
     return ScanRow(torsion, t_rs, im_eta, cr)
 
 
-@dataclass(frozen=True)
-class HolomorphyReport:
-    max_cr_residual: float
-    max_abs_torsion: float
-    grid_shape: Tuple[int, int]
+HolomorphyReport = namedtuple("HolomorphyReport", "max_cr_residual max_abs_torsion grid_shape")
 
 
 def holomorphy_scan(

@@ -21,7 +21,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from typing import Any
 
 from . import circle as circ
@@ -56,7 +56,7 @@ SCAN_COLUMNS = (
     "status",
 )
 
-_TOL_FIELDS = {f.name for f in fields(Tolerances)}
+_TOL_FIELDS = set(Tolerances._fields)
 
 
 def _fail(code: str, msg: str):
@@ -102,14 +102,7 @@ def _c2j(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-@dataclass
-class JobConfig:
-    command: str
-    model: dict | None
-    theta: float
-    params: dict
-    tolerances: Tolerances
-    raw: dict
+JobConfig = namedtuple("JobConfig", "command model theta params tolerances raw")
 
 
 def _builds_matrices(cfg: JobConfig) -> bool:

@@ -5,20 +5,19 @@ logarithm ``log_cut`` returns the branch with imaginary part in the open
 window (theta, theta + 2*pi); ``pow_cut`` builds the complex powers
 lambda^{-s} used by spectral zeta functions.  ``log_cut`` is log|lambda| plus
 i times its polar core ``branch_angle``, which places a given phase in the
-window and refuses a point on the cut.  A sum over many points reads the cut
-angle once and calls ``log_at``, or the core alone for points whose phase and
-log-modulus it already holds (a finite spectrum keeps both).  A cut angle is
-reduced into [-2*pi, 2*pi), and refused where the floats cannot resolve it to
-``AGMON_EPSILON``.  Where |lambda| overflows, log|lambda| is log|lambda/2| +
-log 2.  ``log_cut`` and ``pow_cut`` refuse non-finite input with
-``finite_complex``; ``log_at`` trusts its caller.
+window and refuses a point on the cut; it is the one branch rule.  A sum over
+many points reads the cut angle once, takes each point's log|lambda| and arg
+lambda (a finite spectrum keeps both), and calls the core once per point.  A
+cut angle is reduced into [-2*pi, 2*pi), and refused where the floats cannot
+resolve it to ``AGMON_EPSILON``.  Where |lambda| overflows, log|lambda| is
+log|lambda/2| + log 2 (``log_modulus``).  ``log_cut`` and ``pow_cut`` refuse
+non-finite input with ``finite_complex``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 from .config import AGMON_EPSILON
 from .errors import OnCutError, ZeroInputError
@@ -44,15 +43,14 @@ def _wrap_cut(theta: float) -> float:
     return t + 2.0 * TAU if t < -TAU else t
 
 
-@dataclass(frozen=True)
 class CutAngle:
-    """A spectral-cut direction, kept as given plus a normalized key."""
+    """A spectral-cut direction, kept as given plus a normalized key; cuts compare by the key."""
 
-    raw: float = field(compare=False)
-    normalized: float = field(init=False, compare=True)
+    __slots__ = ("raw", "normalized")
 
-    def __post_init__(self):
-        object.__setattr__(self, "normalized", _wrap_cut(float(self.raw)))
+    def __init__(self, raw: float):
+        self.raw = raw
+        self.normalized = _wrap_cut(float(raw))
 
     def shifted(self, delta: float) -> "CutAngle":
         return CutAngle(self.normalized + delta)
@@ -62,6 +60,17 @@ class CutAngle:
 
     def __float__(self) -> float:
         return self.normalized
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(raw={self.raw!r}, normalized={self.normalized!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, CutAngle):
+            return NotImplemented
+        return self.normalized == other.normalized
+
+    def __hash__(self) -> int:
+        return hash((self.normalized,))
 
 
 def finite_complex(value, name: str) -> complex:
@@ -94,9 +103,12 @@ def branch_angle(lam: complex, arg: float, th: float) -> float:
     """Im log_cut(lam, th) from arg = phase(lam), th a normalized cut angle: the polar core.
 
     Shifts arg by ceil((th - arg) / 2*pi) turns into (th, th + 2*pi).  Raises
-    OnCutError, naming the nonzero point lam, when it lies on the cut ray.
+    OnCutError, naming the nonzero point lam, when it lies on the cut ray: when
+    ``ang_dist(arg, th)`` is 0, that is, arg - th reduces to 0 or to a negative
+    remainder that rounds away against 2*pi.
     """
-    if ang_dist(arg, th) == 0.0:
+    d = math.fmod(arg - th, TAU)
+    if d == 0.0 or d < 0.0 and d + TAU == TAU:
         raise OnCutError(f"{lam} lies on the cut ray at angle {th}")
     alpha = arg + TAU * math.ceil((th - arg) / TAU)
     # floating-point guard: keep alpha strictly inside (th, th + 2*pi)
@@ -107,15 +119,14 @@ def branch_angle(lam: complex, arg: float, th: float) -> float:
     return alpha
 
 
-def log_at(lam: complex, th: float) -> complex:
-    """``log_cut`` of a complex lam at a normalized cut angle th: log|lam| + i*branch_angle."""
+def log_modulus(lam: complex) -> float:
+    """log|lam| of a finite lam, as log|lam/2| + log 2 where |lam| overflows; 0 is refused."""
     if lam == 0:
         raise ZeroInputError("log_cut requires a nonzero argument")
-    alpha = branch_angle(lam, phase(lam), th)
     try:
-        return complex(math.log(abs(lam)), alpha)
+        return math.log(abs(lam))
     except OverflowError:
-        return complex(math.log(abs(0.5 * lam)) + LOG_2, alpha)
+        return math.log(abs(0.5 * lam)) + LOG_2
 
 
 def log_cut(lam: complex, theta) -> complex:
@@ -124,7 +135,9 @@ def log_cut(lam: complex, theta) -> complex:
     Raises ZeroInputError for lam = 0, OnCutError when lam lies on the cut ray
     and ValueError when lam is not finite.
     """
-    return log_at(finite_complex(lam, "lam"), as_cut(theta).normalized)
+    lam = finite_complex(lam, "lam")
+    th = as_cut(theta).normalized
+    return complex(log_modulus(lam), branch_angle(lam, phase(lam), th))
 
 
 def pow_cut(lam: complex, s: complex, theta) -> complex:

@@ -11,30 +11,41 @@ these names instead of scattered literals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The thresholds a check reports or asserts; each is a per-job setting."""
+class Tolerances(namedtuple(
+    "Tolerances",
+    "identity_residual finite_arithmetic trs_residual variation_residual reality",
+    defaults=(1e-9, 1e-10, 1e-6, 1e-6, 1e-10),
+)):
+    """The thresholds a check reports or asserts; each is a per-job setting.
 
-    identity_residual: float = 1e-9    # determinant/eta identities
-    finite_arithmetic: float = 1e-10   # exact finite-spectrum bookkeeping
-    trs_residual: float = 1e-6         # torsion vs Ray-Singer comparisons
-    variation_residual: float = 1e-6   # eta / Arg variation formulas
-    reality: float = 1e-10             # imaginary parts required to vanish
+    ``identity_residual``: determinant/eta identities; ``finite_arithmetic``:
+    exact finite-spectrum bookkeeping; ``trs_residual``: torsion vs Ray-Singer
+    comparisons; ``variation_residual``: eta / Arg variation formulas;
+    ``reality``: imaginary parts required to vanish.
+    """
+
+    __slots__ = ()
 
     def with_overrides(self, **kwargs) -> "Tolerances":
         """A copy with the given fields replaced; ``self`` itself when none are given."""
-        return replace(self, **kwargs) if kwargs else self
+        return self._replace(**kwargs) if kwargs else self
 
 
 DEFAULT_TOLERANCES = Tolerances()
 
 # Method constants: fixed choices of the construction, not per-job settings.
 AGMON_EPSILON = 1e-9           # half-angle of the eigenvalue-free cone certified about a cut
+# Least width upper + pi/2 of the wedge (-pi/2, upper) that ``pick_det_eta_cut``
+# bisects: at or below it the picker refuses.  The picked cut then clears every
+# eigenvalue direction of D, on both of its rays, by more than 2 * AGMON_EPSILON,
+# and of D^2 at twice the cut by more than 4 * AGMON_EPSILON, so both are
+# certified at AGMON_EPSILON without a scan.
+CUT_PICK_WIDTH = 4.0 * AGMON_EPSILON
 IMAG_AXIS = 1e-12              # |Re| at or below this counts as purely imaginary
 ACYCLIC_DISTANCE = 1e-8        # least distance of a log parameter to Z
 MERGE_SIGNIFICANT_DIGITS = 12  # significant digits of the keys that merge and pair eigenvalues

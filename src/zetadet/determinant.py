@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexcut import CutAngle, as_cut
-from .config import AGMON_EPSILON, DEFAULT_TOLERANCES, Tolerances
+from .config import AGMON_EPSILON, CUT_PICK_WIDTH, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     HypothesisViolatedError,
     InfiniteCrossingError,
@@ -22,6 +22,7 @@ from .errors import (
     RealityViolatedError,
 )
 from .spectrum import (
+    AgmonCertificate,
     GradedSpectrum,
     Spectrum,
     certify_agmon,
@@ -34,38 +35,25 @@ from .spectrum import (
 from .zetafun import eta_invariant, spectral_zeta, zeta_ds_at_zero
 
 _PI = math.pi
+_HALF_PI = 0.5 * _PI
+_IMAGINARY_AXIS = (-_HALF_PI, _HALF_PI)
 
 
-@dataclass(frozen=True)
-class LDetResult:
-    ldet: complex
-    det: complex
-    theta: CutAngle
-
-
-@dataclass(frozen=True)
-class DetEtaReport:
-    lhs: complex
-    rhs_half_square: complex
-    eta: complex
-    zeta_zero_square: complex
-    residual: float
-    observed_sign: int | None = None
-
-
-@dataclass(frozen=True)
-class SymmetricDetReport:
-    ldet_result: LDetResult
-    factored: complex
-    m_minus: int
-    eta: complex
-    zeta_zero_square: complex
-    det_square_abs: float
-    residual: float
+LDetResult = namedtuple("LDetResult", "ldet det theta")
+DetEtaReport = namedtuple(
+    "DetEtaReport", "lhs rhs_half_square eta zeta_zero_square residual observed_sign", defaults=(None,)
+)
+SymmetricDetReport = namedtuple(
+    "SymmetricDetReport", "ldet_result factored m_minus eta zeta_zero_square det_square_abs residual"
+)
 
 
 def ldet(spec: Spectrum, theta) -> LDetResult:
-    """Log-determinant -zeta_theta'(0, D) and its exponential."""
+    """Log-determinant -zeta_theta'(0, D) and its exponential.
+
+    ``theta`` may be an ``AgmonCertificate`` for ``spec``, such as the cut
+    ``pick_det_eta_cut`` returns; then it is not certified again.
+    """
     cut = as_cut(theta)
     ld = -zeta_ds_at_zero(spec, cut)
     try:
@@ -97,26 +85,33 @@ def _hypothesis_direction(d: float) -> float:
     The point lies in (-pi/2, theta] or (pi/2, theta + pi] for a theta in
     (-pi/2, 0) exactly when its hypothesis direction lies in (-pi/2, theta].
     """
-    return d - _PI if _PI / 2.0 < d < _PI else d
+    return d - _PI if _HALF_PI < d < _PI else d
 
 
-def pick_det_eta_cut(spec: Spectrum) -> CutAngle:
-    """Cut in (-pi/2, 0) whose determinant/eta hypothesis sectors are empty.
+def pick_det_eta_cut(spec: Spectrum) -> AgmonCertificate:
+    """Cut in (-pi/2, 0) whose determinant/eta hypothesis sectors are empty, with its certificate.
 
     Places the cut halfway between -pi/2 and the least hypothesis direction
-    in (-pi/2, 0).  That direction belongs to an eigenvalue next to the
-    imaginary axis, so only those are examined.
+    ``upper`` in (-pi/2, 0), and refuses when that wedge is no wider than
+    ``config.CUT_PICK_WIDTH``.  That direction belongs to an eigenvalue next
+    to the imaginary axis, so only those are examined.
+
+    The cut is returned as an ``AgmonCertificate`` for ``spec`` at
+    ``AGMON_EPSILON``, for both of its rays.  No eigenvalue direction lies in
+    (-pi/2, upper) or in (pi/2, upper + pi), and every tail lies at 0 or pi,
+    at least pi/4 away; so the cut at theta and the ray at theta + pi clear
+    every eigenvalue by (upper + pi/2)/2 > CUT_PICK_WIDTH/2 = 2*AGMON_EPSILON.
     """
     upper = 0.0
-    for _, arg in spec.phases_near((-_PI / 2.0, _PI / 2.0)):
+    for _, arg in spec.phases_near(_IMAGINARY_AXIS):
         d = _hypothesis_direction(arg)
-        if -_PI / 2.0 < d < upper:
+        if -_HALF_PI < d < upper:
             upper = d
-    if upper - (-_PI / 2.0) < 1e-6:
+    if upper + _HALF_PI <= CUT_PICK_WIDTH:
         raise NotAgmonError(
             message="no admissible cut in (-pi/2, 0) for this spectrum"
         )
-    return CutAngle(0.5 * (upper - _PI / 2.0))
+    return AgmonCertificate(CutAngle(0.5 * (upper - _HALF_PI)), spec, AGMON_EPSILON, line=True)
 
 
 def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
@@ -124,15 +119,15 @@ def _check_hypothesis_sectors(spec: Spectrum, theta_val: float):
 
     ``theta_val`` lies in (-pi/2, 0), so both sectors miss the tails at 0 and pi.
     """
-    for (v, _), arg in spec.phases_near((-_PI / 2.0, theta_val, _PI / 2.0, theta_val + _PI)):
-        if -_PI / 2.0 < _hypothesis_direction(arg) <= theta_val:
-            lo, hi = (_PI / 2.0, theta_val + _PI) if v.imag > 0 else (-_PI / 2.0, theta_val)
+    for (v, _), arg in spec.phases_near((-_HALF_PI, theta_val, _HALF_PI, theta_val + _PI)):
+        if -_HALF_PI < _hypothesis_direction(arg) <= theta_val:
+            lo, hi = (_HALF_PI, theta_val + _PI) if v.imag > 0 else (-_HALF_PI, theta_val)
             raise HypothesisViolatedError((lo, hi), v)
 
 
 def _cut_in_range(theta, caller: str) -> CutAngle:
     cut = as_cut(theta)
-    if not -_PI / 2.0 < cut.normalized < 0.0:
+    if not -_HALF_PI < cut.normalized < 0.0:
         raise ValueError(f"{caller} requires theta in (-pi/2, 0)")
     return cut
 
@@ -246,9 +241,12 @@ def angle_shift_count(
     """
     c1 = as_cut(theta1)
     c2 = as_cut(theta2)
-    lo, hi = sorted((c1.normalized, c2.normalized))
-    certify_agmon(spec, c1, AGMON_EPSILON)
-    certify_agmon(spec, c2, AGMON_EPSILON)
+    # each certificate then stands for its cut in the zeta' below
+    lo_cut, hi_cut = sorted(
+        (certify_agmon(spec, c1, AGMON_EPSILON), certify_agmon(spec, c2, AGMON_EPSILON)),
+        key=float,
+    )
+    lo, hi = lo_cut.normalized, hi_cut.normalized
 
     for d in spec.tail_directions():
         if _turns(d, lo, hi):
@@ -257,8 +255,8 @@ def angle_shift_count(
             )
     count = sum(m * _turns(arg, lo, hi) for (_, m), arg in spec.phases_near((lo, hi)))
 
-    d1 = zeta_ds_at_zero(spec, CutAngle(lo))
-    d2 = zeta_ds_at_zero(spec, CutAngle(hi))
+    d1 = zeta_ds_at_zero(spec, lo_cut)
+    d2 = zeta_ds_at_zero(spec, hi_cut)
     scale = 1.0 + abs(d1) + abs(d2)
     if abs(d1 - d2 - 2j * _PI * count) > tol.finite_arithmetic * scale * 10.0:
         raise ArithmeticError(

@@ -18,8 +18,11 @@ growth order, and ``points_near`` from ``index_window``.  ``decompose`` reads
 a spectrum as families plus finite (value, multiplicity) pairs, a ``Finite``'s
 own ``eigenvalues`` among them; ``_map_spectrum`` builds its image under
 squaring or negation.  ``phases_near`` pairs the points of ``points_near``
-with their phases, which a ``Finite`` reads from its polar form.  All
-spectra are immutable; operations are pure.
+with their phases, which a ``Finite`` reads from its polar form.  Spectra
+are ``__slots__`` classes with the value semantics of ``Record``; no
+operation mutates one.  An ``AgmonCertificate`` is a cut together with the
+spectrum it is certified for: no eigenvalue direction of that spectrum lies
+within its epsilon of the cut.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from dataclasses import InitVar, dataclass
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
-from .complexcut import LOG_2, CutAngle, ang_dist, as_cut, finite_complex, phase
-from .config import IMAG_AXIS, MERGE_SIGNIFICANT_DIGITS
+from .complexcut import CutAngle, ang_dist, as_cut, finite_complex, log_modulus, phase
+from .config import AGMON_EPSILON, IMAG_AXIS, MERGE_SIGNIFICANT_DIGITS
 from .errors import DomainError, NotAgmonError
 
 _PI = math.pi
@@ -111,8 +113,32 @@ class Eigenvalue(namedtuple("Eigenvalue", "value multiplicity")):
         return tuple.__new__(cls, _checked_pair(value, multiplicity))
 
 
+class Record:
+    """A value over its ``_fields``: repr ``Name(field=value, ...)``, equality within one class, hash of the values."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 class Spectrum:
     """Base class; concrete spectra implement the enumeration hooks below."""
+
+    __slots__ = ()
 
     def points_within(self, radius: float) -> Iterator[Tuple[complex, int]]:
         """All (value, multiplicity) pairs with |value| <= radius."""
@@ -143,37 +169,30 @@ class Spectrum:
         return [(p, phase(p[0])) for p in self.points_near(directions)]
 
 
-@dataclass(frozen=True)
-class Finite(Spectrum):
+class Finite(Record, Spectrum):
     """Distinct eigenvalues, each with its polar form and merge key.
 
     One pass over the given (value, multiplicity) pairs checks each pair that
-    is not an ``Eigenvalue`` yet, and takes its polar form, ``log_moduli``
-    log|lambda| (of lambda/2 when |lambda| overflows) and ``phases`` arg
-    lambda, and its ``keys`` entry unless ``merge_keys`` are given.
+    is not an ``Eigenvalue`` yet; then each eigenvalue gets its polar form,
+    ``log_moduli`` (``log_modulus``) and ``phases`` arg lambda, and its
+    ``keys`` entry unless ``merge_keys`` are given.  The repr, equality and
+    hash read ``eigenvalues`` alone.
     """
 
-    eigenvalues: Tuple[Eigenvalue, ...]
-    merge_keys: InitVar[Tuple[Tuple[str, str], ...] | None] = None
+    __slots__ = ("eigenvalues", "log_moduli", "phases", "keys")
+    _fields = ("eigenvalues",)
 
-    def __post_init__(self, merge_keys):
-        evs, log_moduli, phases, keys = [], [], [], []
-        for e in self.eigenvalues:
-            if not isinstance(e, Eigenvalue):
-                e = tuple.__new__(Eigenvalue, _checked_pair(*e))
-            v = e[0]
-            try:
-                log_moduli.append(math.log(abs(v)))
-            except OverflowError:
-                log_moduli.append(math.log(abs(0.5 * v)) + LOG_2)
-            phases.append(phase(v))
-            evs.append(e)
-            if merge_keys is None:
-                keys.append(merge_key(v))
-        keys = tuple(keys) if merge_keys is None else merge_keys
-        for name, value in (("eigenvalues", tuple(evs)), ("log_moduli", tuple(log_moduli)),
-                            ("phases", tuple(phases)), ("keys", keys)):
-            object.__setattr__(self, name, value)
+    def __init__(self, eigenvalues: Iterable, merge_keys: Tuple[Tuple[str, str], ...] | None = None):
+        evs = tuple([e if isinstance(e, Eigenvalue) else tuple.__new__(Eigenvalue, _checked_pair(*e))
+                     for e in eigenvalues])
+        log, atan2 = math.log, math.atan2
+        try:
+            log_moduli = tuple([log(abs(v)) for v, _ in evs])
+        except OverflowError:  # some |lambda| beyond the float range
+            log_moduli = tuple([log_modulus(v) for v, _ in evs])
+        keys = tuple([merge_key(v) for v, _ in evs]) if merge_keys is None else merge_keys
+        self.eigenvalues, self.log_moduli, self.keys = evs, log_moduli, keys
+        self.phases = tuple([atan2(v.imag, v.real) for v, _ in evs])
         if len(set(keys)) != len(keys):
             raise ValueError("finite spectra carry distinct eigenvalues")
 
@@ -200,8 +219,7 @@ class Finite(Spectrum):
         return zip(self.eigenvalues, self.phases)
 
 
-@dataclass(frozen=True)
-class LatticeFamily(Spectrum):
+class LatticeFamily(Record, Spectrum):
     """Eigenvalues {value_at(n) : n in Z}, each with multiplicity mu.
 
     A family defines ``value_at(n)`` and ``index_window(directions)``, the
@@ -211,19 +229,19 @@ class LatticeFamily(Spectrum):
     a ``Restricted`` over them.
     """
 
-    a: complex
-    mu: int = 1
-    order: ClassVar[int] = 1
-    restrictable: ClassVar[bool] = True
+    __slots__ = ("a", "mu")
+    _fields = ("a", "mu")
+    order = 1
+    restrictable = True
 
-    def __post_init__(self):
-        a = finite_complex(self.a, "lattice parameter")
+    def __init__(self, a: complex, mu: int = 1):
+        a = finite_complex(a, "lattice parameter")
         if self.order == 2:
             a, _ = _normalize_log_param(a)
-        object.__setattr__(self, "a", a)
         if dist_to_integers(a) <= 0.0:
             raise ValueError("lattice parameter must avoid the integers")
-        _check_multiplicity(self.mu)
+        _check_multiplicity(mu)
+        self.a, self.mu = a, mu
 
     def index_range(self, radius: float) -> range:
         """Indices n of every |value_at(n)| <= radius, with a spare one on each side."""
@@ -244,12 +262,24 @@ class LatticeFamily(Spectrum):
         for n in self.index_window(directions):
             yield self.value_at(n), self.mu
 
+    def phases_near(self, directions):
+        mu, atan2 = self.mu, math.atan2
+        return [((v, mu), atan2(v.imag, v.real)) for v in map(self.value_at, self.index_window(directions))]
+
 
 class Lattice(LatticeFamily):
     """Eigenvalues {a + n : n in Z}, each with multiplicity mu."""
 
+    __slots__ = ()
     # each family binds points_within itself: perfbench wraps every class's own binding
     points_within = LatticeFamily.points_within
+
+    @classmethod
+    def _checked(cls, a: complex, mu: int) -> "Lattice":
+        """Lattice(a, mu) for a finite complex a off the integers and a checked mu, not checked again."""
+        f = object.__new__(cls)
+        f.a, f.mu = a, mu
+        return f
 
     def value_at(self, n: int) -> complex:
         return self.a + n
@@ -264,6 +294,7 @@ class Lattice(LatticeFamily):
 class QuadLattice(LatticeFamily):
     """Eigenvalues {(a + n)^2 : n in Z} for a lattice parameter a."""
 
+    __slots__ = ()
     order = 2
     points_within = LatticeFamily.points_within
 
@@ -281,6 +312,7 @@ class QuadLattice(LatticeFamily):
 class HermQuadLattice(LatticeFamily):
     """Eigenvalues {(n + a)(n + conj(a)) : n in Z} — positive reals."""
 
+    __slots__ = ()
     order = 2
     restrictable = False
     points_within = LatticeFamily.points_within
@@ -292,13 +324,17 @@ class HermQuadLattice(LatticeFamily):
         # every eigenvalue lies on the tail direction itself
         return range(0)
 
+    def negative_axis_cut(self) -> "AgmonCertificate":
+        """The cut at -pi, certified without a scan: every eigenvalue is a positive real, pi from it."""
+        return AgmonCertificate(_MINUS_PI, self, AGMON_EPSILON)
 
-@dataclass(frozen=True)
-class DirectSum(Spectrum):
-    parts: Tuple[Spectrum, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+class DirectSum(Record, Spectrum):
+    __slots__ = ("parts",)
+    _fields = ("parts",)
+
+    def __init__(self, parts: Iterable[Spectrum]):
+        self.parts = tuple(parts)
         if not self.parts:
             raise ValueError("direct sum requires at least one part")
 
@@ -317,8 +353,7 @@ class DirectSum(Spectrum):
             yield from p.points_near(directions)
 
 
-@dataclass(frozen=True)
-class Restricted(Spectrum):
+class Restricted(Record, Spectrum):
     """A lattice family with per-eigenvalue sub-multiplicities.
 
     ``sub_mult`` maps the index n of ``base.value_at(n)`` to its restricted
@@ -326,22 +361,22 @@ class Restricted(Spectrum):
     The base is a ``Lattice`` or a ``QuadLattice``.
     """
 
-    base: LatticeFamily
-    sub_mult: Tuple[Tuple[int, int], ...]
+    __slots__ = ("base", "sub_mult")
+    _fields = ("base", "sub_mult")
 
-    def __post_init__(self):
-        if not (isinstance(self.base, LatticeFamily) and self.base.restrictable):
+    def __init__(self, base: LatticeFamily, sub_mult):
+        if not (isinstance(base, LatticeFamily) and base.restrictable):
             raise TypeError("restrictions are supported over Lattice and QuadLattice bases only")
-        pairs = self.sub_mult.items() if isinstance(self.sub_mult, Mapping) else self.sub_mult
+        pairs = sub_mult.items() if isinstance(sub_mult, Mapping) else sub_mult
         items = tuple(tuple(p) for p in pairs)
         for n, m in items:
             if type(n) is not int or type(m) is not int:
                 raise ValueError("restriction indices and sub-multiplicities are integers")
-            if not 0 <= m <= self.base.mu:
+            if not 0 <= m <= base.mu:
                 raise ValueError("sub-multiplicity exceeds the base multiplicity")
         if len({n for n, _ in items}) != len(items):
             raise ValueError("restriction indices are distinct")
-        object.__setattr__(self, "sub_mult", tuple(sorted(items)))
+        self.base, self.sub_mult = base, tuple(sorted(items))
 
     def points_within(self, radius):
         base, ov = self.base, dict(self.sub_mult)
@@ -395,15 +430,15 @@ def decompose(
     raise TypeError(f"no decomposition for {type(spec).__name__}")
 
 
-@dataclass(frozen=True)
-class GradedSpectrum:
+class GradedSpectrum(Record):
     """Parity-indexed components (j, spectrum) feeding the graded determinant."""
 
-    components: Tuple[Tuple[int, Spectrum], ...]
+    __slots__ = ("components",)
+    _fields = ("components",)
 
-    def __post_init__(self):
-        comps = tuple((int(j), s) for j, s in self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: Iterable[Tuple[int, Spectrum]]):
+        comps = tuple((int(j), s) for j, s in components)
+        self.components = comps
         parities = [j for j, _ in comps]
         if len(set(parities)) != len(parities):
             raise ValueError("graded components carry distinct parities")
@@ -413,10 +448,37 @@ class GradedSpectrum:
             raise ValueError("graded spectrum requires at least one component")
 
 
-@dataclass(frozen=True)
-class AgmonCertificate:
-    theta: CutAngle
-    epsilon: float
+class AgmonCertificate(CutAngle):
+    """A cut that no eigenvalue direction of ``spectrum`` approaches within ``epsilon``.
+
+    It is the cut itself, so it stands wherever an angle does; ``ldet`` and
+    the zeta functions take it as certified when it names their spectrum
+    object at ``AGMON_EPSILON`` or wider, and certify any other cut.
+    ``certify_agmon`` issues one for the ray it checks.  ``pick_det_eta_cut``
+    issues one from its margin with ``line`` set: both rays of the line
+    through the cut, theta and theta + pi, are clear, so the squares are clear
+    of twice the cut by twice ``epsilon``, and ``squared`` issues D^2's
+    certificate at 2*theta without a scan.
+    """
+
+    __slots__ = ("spectrum", "epsilon", "line")
+
+    def __init__(self, cut: CutAngle, spectrum: Spectrum, epsilon: float, line: bool = False):
+        self.raw, self.normalized = cut.raw, cut.normalized
+        self.spectrum, self.epsilon, self.line = spectrum, epsilon, line
+
+    def __repr__(self) -> str:
+        return (f"AgmonCertificate(raw={self.raw!r}, normalized={self.normalized!r}, "
+                f"spectrum={self.spectrum!r}, epsilon={self.epsilon!r}, line={self.line!r})")
+
+    def squared(self) -> "AgmonCertificate":
+        """The certificate of ``square_spectrum(spectrum)`` at twice the cut; it needs ``line``."""
+        if not self.line:
+            raise ValueError("only a certificate for both rays of its line certifies the squares")
+        return AgmonCertificate(self.doubled(), square_spectrum(self.spectrum), 2.0 * self.epsilon)
+
+
+_MINUS_PI = CutAngle(-_PI)
 
 
 def certify_agmon(spec: Spectrum, theta, epsilon: float) -> AgmonCertificate:
@@ -438,7 +500,7 @@ def certify_agmon(spec: Spectrum, theta, epsilon: float) -> AgmonCertificate:
     for (value, _), arg in spec.phases_near((th,)):
         if ang_dist(arg, th) <= epsilon:
             raise NotAgmonError(witness=value)
-    return AgmonCertificate(cut, epsilon)
+    return AgmonCertificate(cut, spec, epsilon)
 
 
 def imaginary_axis_counts(spec: Spectrum) -> Tuple[int, int]:

@@ -44,13 +44,14 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .complexcut import TAU, CutAngle, ang_dist, as_cut, branch_angle, finite_complex, log_at
+from .complexcut import TAU, CutAngle, ang_dist, as_cut, branch_angle, finite_complex, log_modulus
 from .config import AGMON_EPSILON, IMAG_AXIS, em_num_terms, explicit_terms
 from .errors import DomainError, PoleError
 from .kernels import _STIRLING_COEF, hurwitz_zeta_raw, log_gamma
 from .spectrum import (
+    AgmonCertificate,
     Finite,
     HermQuadLattice,
     Lattice,
@@ -69,10 +70,7 @@ _SERIES_CAP = 200
 _HERM_DS0_START = 7.0
 
 
-@dataclass(frozen=True)
-class ZetaResult:
-    value: complex
-    error_estimate: float
+ZetaResult = namedtuple("ZetaResult", "value error_estimate")
 
 
 def _hz(s: complex, q: complex):
@@ -105,15 +103,23 @@ def _tail_winding(direction: float, cut_value: float) -> int:
 
 
 def _tail_buffer(q: complex, gap: float, halve: bool = False) -> int:
-    """Terms to pull out before the winding of q + m is provably constant."""
-    g = min(gap, 1.45)
+    """Terms to pull out before the winding of q + m is provably constant.
+
+    That is max(4, 1 + explicit_terms(max(1 - Re q, |Im q| / tan(0.9 * g) - Re q))),
+    with g = min(gap, 1.45), halved with ``halve``.  Every evaluation of a family
+    calls it, so min and max are written out as comparisons, with their results.
+    """
+    g = 1.45 if 1.45 < gap else gap
     if halve:
         g *= 0.5
     need = 1.0 - q.real
     v = abs(q.imag)
     if v > 0.0:
-        need = max(need, v / math.tan(0.9 * g) - q.real)
-    return max(4, explicit_terms(need) + 1)
+        far = v / math.tan(0.9 * g) - q.real
+        if far > need:
+            need = far
+    n = explicit_terms(need) + 1
+    return n if n > 4 else 4
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +284,10 @@ def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
     are families but no points.  With ``eta``, eta(s).  The log sum is negated
     once and the parts add from the first, so a lone finite part keeps
     -sum(m*log) bit for bit, signed zeros included.  Each head point's log is
-    log|v| + i*branch_angle, with the bits of ``log_cut``; a ``Finite``'s own
-    points read log|v| and arg v from its polar form.
+    log|v| + i*branch_angle, with the bits of ``log_cut``: a family's head
+    point takes its log-modulus and phase in line and makes one call, to
+    ``branch_angle``; a ``Finite``'s own points read both from the polar form
+    it keeps.
     """
     families, points = decompose(spec)
     own = isinstance(spec, Finite) and not eta
@@ -287,6 +295,7 @@ def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
         points = _eta_signed(points)
     th = cut.normalized
     ns = None if s is None else -s
+    log, atan2 = math.log, math.atan2
     value = err = None
     for f in families + (None,) if points or not families else families:
         scale, im, head, groups = (0, None, points, ()) if f is None else _family(f, cut, s, eta)
@@ -297,7 +306,11 @@ def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
                 total += m * (logv if ns is None else cmath.exp(ns * logv))
         else:
             for v, m in head:
-                logv = log_at(v, th)
+                try:
+                    lm = log(abs(v))
+                except (ValueError, OverflowError):  # 0 is refused, an overflowing |v| halved
+                    lm = log_modulus(v)
+                logv = complex(lm, branch_angle(v, atan2(v.imag, v.real), th))
                 total += m * (logv if ns is None else cmath.exp(ns * logv))
         if s is None:
             total = -total
@@ -331,11 +344,24 @@ def _lat_eta0(f: Lattice) -> complex:
     return f.mu * (1.0 - 2.0 * atil - skip_r + skip_l)
 
 
+def _certified(spec: Spectrum, theta) -> CutAngle:
+    """The cut ``theta``, Agmon for ``spec`` at AGMON_EPSILON.
+
+    An ``AgmonCertificate`` that names ``spec`` itself, at that epsilon or a
+    wider one, is taken as it stands; any other cut, a certificate for another
+    spectrum included, is certified by ``certify_agmon``.
+    """
+    if type(theta) is AgmonCertificate and theta.spectrum is spec and theta.epsilon >= AGMON_EPSILON:
+        return theta
+    cut = as_cut(theta)
+    certify_agmon(spec, cut, AGMON_EPSILON)
+    return cut
+
+
 def spectral_zeta(spec: Spectrum, theta, s) -> ZetaResult:
     """zeta_theta(s, D) = sum of m_k * lambda_k^{-s} along the cut."""
     s = finite_complex(s, "s")
-    cut = as_cut(theta)
-    certify_agmon(spec, cut, AGMON_EPSILON)
+    cut = _certified(spec, theta)
     try:
         value, err = _evaluate(spec, cut, s)
     except OverflowError:
@@ -350,9 +376,7 @@ def zeta_at_zero(spec: Spectrum, theta) -> complex:
 
 def zeta_ds_at_zero(spec: Spectrum, theta) -> complex:
     """zeta_theta'(0, D), assembled exactly (no numerical differentiation)."""
-    cut = as_cut(theta)
-    certify_agmon(spec, cut, AGMON_EPSILON)
-    return _evaluate(spec, cut)[0]
+    return _evaluate(spec, _certified(spec, theta))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +386,7 @@ def zeta_ds_at_zero(spec: Spectrum, theta) -> complex:
 def eta_function(spec: Spectrum, theta, s) -> complex:
     """Spectral asymmetry function; imaginary-axis eigenvalues are excluded."""
     s = finite_complex(s, "s")
-    cut = as_cut(theta)
-    certify_agmon(spec, cut, AGMON_EPSILON)
-    return _evaluate(spec, cut, s, eta=True)[0]
+    return _evaluate(spec, _certified(spec, theta), s, eta=True)[0]
 
 
 def _eta_at_zero(spec: Spectrum) -> complex:

@@ -27,6 +27,7 @@ from zetadet import (
 from zetadet.circle import cr_residual, model_arg_class, scan_points, scan_row
 from zetadet.config import FAMILY_GRID
 from zetadet.errors import DomainError
+from zetadet import cli
 from zetadet.cli import _family_for_path, parse_config, scan_rows
 
 from helpers import random_invertible
@@ -86,6 +87,23 @@ class TestBuild:
     def test_model_log_parameter_is_finite(self, a):
         with pytest.raises(ValueError, match="lattice parameter .* is not finite"):
             CircleModel(((0.3, 1), (a, 1)))
+
+    def test_spectrum_is_built_once(self):
+        for model in (build_rank1(0.3 + 0.2j), build_from_monodromy(np.diag([-1.0, 1j])),
+                      CircleModel(((0.3, 1), (0.7 - 2j, 2)))):
+            spec = model.spectrum()
+            assert model.spectrum() is spec
+            assert spec == CircleModel(model.log_params).spectrum()
+        # a model given an integer log parameter refuses its spectrum every time it is asked
+        model = CircleModel(((1.0, 1),))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="lattice parameter must avoid the integers"):
+                model.spectrum()
+
+    @pytest.mark.parametrize("a", [complex("nan"), complex(0.3, math.inf), complex(0.3, math.nan)])
+    def test_rank1_non_finite_parameter_refused(self, a):
+        with pytest.raises(ValueError):
+            build_rank1(a)
 
     def test_repeated_eigenvalues_merge(self):
         model = build_from_monodromy(np.diag([-1.0, -1.0]))
@@ -541,6 +559,22 @@ class TestHolomorphy:
         grid = {"reStart": 0.3, "reStop": 0.3, "reSteps": 1, "imStart": 0.2, "imStop": 0.2, "imSteps": 1}
         rows = scan_rows(parse_config({"command": "scan", "params": {"grid": grid, "h": h}}))
         assert [(r["status"], r["cr_residual"]) for r in rows] == [("Domain", None)]
+
+    def test_stencil_is_tested_before_the_row_work(self, monkeypatch):
+        # each point fails twice: its own torsion (NotAgmon at 2e-9 - i, OverflowError at
+        # 0.5 - 120i) and the stencil of h = 1e-17; the stencil comes first and the row reads
+        # Domain without a torsion, while a non-acyclic point still reads NonAcyclic
+        import zetadet.circle as circle
+
+        calls = []
+        monkeypatch.setattr(circle, "torsion_ldet", lambda model: calls.append(model))
+        statuses = [cli._scan_row(a, 1e-17)["status"] for a in (2e-9 - 1j, 0.5 - 120j, complex(1.0, 0.0))]
+        assert statuses == ["Domain", "Domain", "NonAcyclic"]
+        assert calls == []
+        monkeypatch.undo()
+        assert cli._scan_row(2e-9 - 1j, 1e-4)["status"] == "NotAgmon"
+        with pytest.raises(OverflowError):
+            scan_row(0.5 - 120j, 1e-4)
 
     @pytest.mark.parametrize("h", [0.0, -1e-5])
     def test_nonpositive_step_rejected(self, h):

@@ -209,6 +209,51 @@ class TestCommands:
         assert counts["atan2"] == counts["log"] == len(values) + squares
         assert counts["branch_angle"] == 2 * len(values) + squares
 
+    def test_picked_cuts_are_not_certified_again(self, monkeypatch):
+        import zetadet.determinant as determinant
+        import zetadet.spectrum as spectrum
+        import zetadet.zetafun as zetafun
+        from zetadet.config import AGMON_EPSILON
+
+        calls = []
+
+        def counted(spec, theta, epsilon):
+            calls.append(spec)
+            return certify(spec, theta, epsilon)
+
+        certify = spectrum.certify_agmon
+        for module in (spectrum, zetafun, determinant):
+            monkeypatch.setattr(module, "certify_agmon", counted)
+        grid = {"reStart": 0.2, "reStop": 0.7, "reSteps": 3, "imStart": -1.0, "imStop": 1.0, "imSteps": 3}
+        rows = run(_job("scan", params={"grid": grid}))["rows"]
+        assert len(rows) == 9 and all(r["status"] == "ok" for r in rows)
+        # a scan row: five torsions at the picker's cuts, T^RS at the Hermitian cut -pi
+        assert calls == []
+        run(_job("torsion", {"type": "rank1", "a": {"re": 0.3, "im": 0.4}}))
+        run(_job("verify", {"type": "monodromy", "matrix": [[{"re": 0.0, "im": 1.0}, 0.5], [0.0, -2.0]]}))
+        assert calls == []
+        # a cut the user gives, or a certificate of any other spectrum object (an equal twin, D^2 for D
+        # and back, a narrower epsilon), is certified in each of the three calls
+        spec = circ.build_rank1(0.3 + 0.4j).spectrum()
+        cut = determinant.pick_det_eta_cut(spec)
+        twin = spectrum.Lattice(spec.a)
+        square = cut.squared()
+        narrow = spectrum.AgmonCertificate(cut, spec, 0.5 * AGMON_EPSILON)
+        cases = (
+            (spec, cut, 0), (square.spectrum, square, 0),
+            (spec, float(cut), 3), (twin, cut, 3), (square.spectrum, cut, 3), (spec, square, 3), (spec, narrow, 3),
+        )
+        for other, theta, certified in cases:
+            calls.clear()
+            determinant.ldet(other, theta)
+            zetafun.zeta_ds_at_zero(other, theta)
+            zetafun.spectral_zeta(other, theta, 2.0)
+            assert len(calls) == certified
+        # the finite verify's cut comes from its config, so each of D, D^2 and D at theta - pi is certified
+        calls.clear()
+        run(_job("verify", {"type": "finite", "eigenvalues": [{"re": 1.0, "im": 0.5}, {"re": 2.0}]}))
+        assert len(calls) == 3
+
     @pytest.mark.parametrize(
         "eigenvalues, code",
         [
@@ -458,13 +503,27 @@ def _row_or_error(row_fn, a):
         return type(exc).__name__, str(exc)
 
 
+@pytest.mark.parametrize("a", [5e-6 - 10j, 1e-7 - 1j, 2e-8 - 1j, complex(0.0, -10.0)])
+def test_torsion_in_the_thin_cut_wedge(a, monkeypatch, capsys):
+    # the wedge (-pi/2, upper) of a - 1j*y is Re a / y wide; above CUT_PICK_WIDTH it takes a cut
+    job = {"command": "torsion", "model": {"type": "rank1", "a": {"re": a.real, "im": a.imag}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+    assert main(["torsion", "--config", "-"]) == 0
+    torsion = json.loads(capsys.readouterr().out)["results"]["torsion"]
+    assert complex(torsion["re"], torsion["im"]) == pytest.approx(1 - cmath.exp(2j * PI * a), rel=1e-13)
+
+
 class TestScanRowWithoutXi:
     """A scan row computes the torsion, T^RS and eta only; leaving xi out changes no output."""
 
-    # a real-axis point, points within acyclic_distance of an integer, a NotAgmon point
-    # (1 + 5e-9 + 120i), and a torsion that overflows the float range at Im a = -120
+    # a real-axis point, points within acyclic_distance of an integer, a point whose stencil
+    # point a - h leaves the cut picker a wedge just wider than CUT_PICK_WIDTH (1 + 5e-9 + 120i,
+    # 8.3e-7 wide), a NotAgmon point whose a - h leaves one no wider (1.0000997 + 120i, 2.5e-9
+    # wide), and a torsion that overflows the float range at Im a = -120
     GRIDS = {
         "edges": {"reStart": 0.5, "reStop": 1.000000005, "reSteps": 2, "imStart": 0.0, "imStop": 120.0, "imSteps": 3},
+        "not-agmon": {"reStart": 1.0000997, "reStop": 1.0000997, "reSteps": 1, "imStart": 120.0, "imStop": 120.0,
+                      "imSteps": 1},
         "below-integer": {"reStart": -0.000000005, "reStop": 0.25, "reSteps": 2, "imStart": -1.5, "imStop": 0.0, "imSteps": 2},
         "overflow": {"reStart": 0.5, "reStop": 1.000000005, "reSteps": 2, "imStart": -120.0, "imStop": 0.0, "imSteps": 3},
     }
@@ -481,12 +540,14 @@ class TestScanRowWithoutXi:
             captured = capsys.readouterr()
             outcomes.append((code, _mask_wall_time(captured.out), captured.err))
         assert outcomes[0] == outcomes[1]
-        expected = {"edges": 1, "below-integer": 1, "overflow": 2}[grid]
+        expected = {"edges": 1, "not-agmon": 1, "below-integer": 1, "overflow": 2}[grid]
         assert outcomes[0][0] == expected
 
     def test_statuses_on_the_edge_grid(self):
         rows = scan_rows(_job("scan", params={"grid": self.GRIDS["edges"]}))
-        assert [r["status"] for r in rows] == ["ok", "ok", "ok", "NonAcyclic", "ok", "NotAgmon"]
+        assert [r["status"] for r in rows] == ["ok", "ok", "ok", "NonAcyclic", "ok", "ok"]
+        rows = scan_rows(_job("scan", params={"grid": self.GRIDS["not-agmon"]}))
+        assert [r["status"] for r in rows] == ["NotAgmon"]
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -1327,9 +1388,11 @@ print(json.dumps(seen))
 
 
 def test_cold_start_leaves_fractions_and_decimal_out():
-    # the kernels' Bernoulli table is integer pairs, so no job imports either module; argv needs no argparse
+    # the kernels' Bernoulli table is integer pairs, so no job imports either module; argv needs no
+    # argparse; the records are namedtuples and __slots__ classes, so no dataclasses (nor its inspect)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, zetadet.cli; print(sorted({'fractions', 'decimal', 'argparse'} & set(sys.modules)))"
+    modules = "{'fractions', 'decimal', 'argparse', 'dataclasses', 'inspect'}"
+    code = f"import sys, zetadet.cli; print(sorted({modules} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

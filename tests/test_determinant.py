@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from zetadet import (
+    CircleModel,
     CutAngle,
     DirectSum,
     Eigenvalue,
@@ -30,8 +31,9 @@ from zetadet import (
     zeta_at_zero,
 )
 from zetadet.complexcut import as_cut, phase
+from zetadet.config import AGMON_EPSILON, CUT_PICK_WIDTH
 from zetadet.determinant import _check_hypothesis_sectors
-from zetadet.spectrum import square_spectrum
+from zetadet.spectrum import AgmonCertificate, certify_agmon, square_spectrum
 from zetadet.zetafun import spectral_zeta
 
 from helpers import (
@@ -294,7 +296,7 @@ class TestExactLatticeGeometry:
         # beyond the radius every direction lies within the deviation of 0 or pi
         dev = tail_angle_bound(spec, radius)
         assume(dev == 0.0 or upper <= -dev)
-        if upper + PI / 2 < 1e-6:
+        if upper + PI / 2 <= CUT_PICK_WIDTH:
             with pytest.raises(NotAgmonError):
                 pick_det_eta_cut(spec)
         else:
@@ -355,6 +357,73 @@ class TestExactLatticeGeometry:
         res = ldet(Lattice(a), -0.03)
         expected = 1.0 - cmath.exp(2j * PI * a)
         assert abs(res.det - expected) <= 1e-12 * abs(expected)
+
+
+def _wedge_param(rng: random.Random) -> complex:
+    """A log parameter whose cut-picking wedge, (-pi/2, upper) with upper + pi/2 = delta / y,
+    is thinner than the picker's old 1e-6: a point delta - iy, or its mirror -delta + iy, whose
+    normalized point 1 - delta + iy has the neighbour -delta + iy just left of i*R+."""
+    y = rng.uniform(1.0, 200.0)
+    delta = y * 10.0 ** rng.uniform(math.log10(2e-9), -6.0)
+    return complex(delta, -y) if rng.random() < 0.5 else complex(-delta, y)
+
+
+class TestPickedCertificate:
+    """The picked cut is an AgmonCertificate, which certify_agmon accepts for D and D^2."""
+
+    def test_certify_agmon_accepts_every_issued_certificate(self):
+        rng = random.Random(3217)
+        issued = refused = 0
+        for _ in range(3000):
+            params = []
+            for _ in range(rng.randint(1, 3)):
+                a = _wedge_param(rng) if rng.random() < 0.3 else complex(rng.uniform(-3.0, 3.0), rng.uniform(-200, 200))
+                if abs(a - round(a.real)) > 1e-8:
+                    params.append((a, rng.randint(1, 2)))
+            if not params:
+                continue
+            spec = CircleModel(params).spectrum()
+            try:
+                cut = pick_det_eta_cut(spec)
+            except NotAgmonError:
+                refused += 1
+                continue
+            issued += 1
+            assert type(cut) is AgmonCertificate and cut.spectrum is spec and cut.line
+            assert cut.epsilon == AGMON_EPSILON
+            # the margin is wider than 2 * epsilon, on both rays of the line through the cut
+            certify_agmon(spec, cut, 2.0 * cut.epsilon)
+            certify_agmon(spec, cut.shifted(PI), 2.0 * cut.epsilon)
+            square = cut.squared()
+            assert square.spectrum == square_spectrum(spec)
+            assert square.normalized == cut.doubled().normalized
+            certify_agmon(square.spectrum, square, square.epsilon)
+        assert issued > 2000 and refused > 50
+
+    def test_wedge_edge(self):
+        # a = delta - i: the wedge below the cut is delta wide; at most CUT_PICK_WIDTH it is refused
+        for delta in (5e-6 / 10, 1e-7, 2e-8, 1.01 * CUT_PICK_WIDTH):
+            cut = pick_det_eta_cut(Lattice(complex(delta, -1.0)))
+            certify_agmon(cut.spectrum, cut, cut.epsilon)
+            certify_agmon(cut.squared().spectrum, cut.squared(), AGMON_EPSILON)
+        with pytest.raises(NotAgmonError):
+            pick_det_eta_cut(Lattice(complex(0.99 * CUT_PICK_WIDTH, -1.0)))
+
+    def test_only_a_line_certificate_squares(self):
+        spec = Lattice(0.3 + 0.2j)
+        with pytest.raises(ValueError):
+            certify_agmon(spec, -PI / 4, AGMON_EPSILON).squared()
+        assert pick_det_eta_cut(spec).squared().spectrum == square_spectrum(spec)
+
+    def test_certificate_is_the_cut(self):
+        spec = Lattice(0.3 + 0.2j)
+        cut = pick_det_eta_cut(spec)
+        plain = CutAngle(cut.normalized)
+        assert cut == plain and hash(cut) == hash(plain) and float(cut) == float(plain)
+        assert ldet(spec, cut) == ldet(spec, plain)
+        assert repr(certify_agmon(spec, -0.5, 1e-3)) == (
+            f"AgmonCertificate(raw=-0.5, normalized=-0.5, spectrum={spec!r}, epsilon=0.001, line=False)"
+        )
 
 
 class TestSymmetricSpectrumDet:
