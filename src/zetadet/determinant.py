@@ -135,12 +135,13 @@ def _cut_in_range(theta, caller: str) -> CutAngle:
 def _square_side(spec: Spectrum, cut: CutAngle):
     """zeta'_{2theta}(0, D^2), eta(D), zeta_{2theta}(0, D^2) and m_-(D): the side built from D^2.
 
-    D^2 is certified once.  Without lattice families zeta(0) is the multiplicity
-    count, summed as the evaluator sums m * lambda^0, signed zeros included.
-    One ``imaginary_axis_counts`` pass gives eta its (m_+, m_-) and the
+    D^2 is certified once, and both of its zeta calls take the certificate.
+    Without lattice families zeta(0) is the multiplicity count, summed as the
+    evaluator sums m * lambda^0, signed zeros included.  One
+    ``imaginary_axis_counts`` pass gives eta its (m_+, m_-) and the
     factorization its m_-."""
     square = square_spectrum(spec)
-    cut2 = cut.doubled()
+    cut2 = certify_agmon(square, cut.doubled(), AGMON_EPSILON)
     dz_sq = zeta_ds_at_zero(square, cut2)
     counts = imaginary_axis_counts(spec)
     eta = eta_invariant(spec, counts)

@@ -1,8 +1,9 @@
 """Spectral zeta and eta functions via analytic continuation.
 
-One evaluator sums every part of ``spectrum.decompose(spec)``: a head of
-``(point, weight)`` pairs near the origin, summed with exact cut branches,
-and tail groups ``(sign, k, (w, ...))`` of far tails with constant winding.
+One evaluator sums zeta(s) and eta(s) over every part of
+``spectrum.decompose(spec)``: a head of ``(point, weight)`` pairs near the
+origin, summed with exact cut branches, and tail groups ``(sign, k, (w, ...))``
+of far tails with constant winding.
 A lattice family ({a + n}, its squares {(a + n)^2}, the Hermitian {|a + n|^2})
 is its layout, head points at weight m = 1, scaled by its mu; the finite points
 are one more head, weighted by their multiplicities, with no tails and no mu.
@@ -12,17 +13,30 @@ and v^2 is (Im a)^2 for the Hermitian family and 0 otherwise.  zeta(s) is
     sum m * lambda^{-s} + sum sign * exp(-i*pi*k*s) * sum_w T(s, w),
     T(s, w) = sum_j binom(-s, j) * v^(2j) * zeta_H(scale*s + 2j, w),
 
-with its error estimate, and zeta'(0) is exact, from ``zeta_H(0, w) = 1/2 - w``
-and ``zeta_H'(0, w) = log Gamma(w) - log(2*pi)/2``.  With N the Euler-Maclaurin
-shift length of zeta_H(scale*s, w), the shifts k < N - 1 of the rungs j >= 1
-sum over j in closed form,
+with its error estimate.  With N the Euler-Maclaurin shift length of
+zeta_H(scale*s, w), the shifts k < N - 1 of the rungs j >= 1 sum over j in
+closed form,
 
     T(s, w) = zeta_H(scale*s, w) + sum_{k<N-1} (w + k)^{-scale*s} * ((1 + x_k)^{-s} - 1)
               + sum_{j>=1} binom(-s, j) * v^(2j) * zeta_H(scale*s + 2j, w + N - 1),
 
 with x_k = v^2 / (w + k)^2, so every rung keeps its remainder at w + N and the
 series converges at the ratio v^2 / (w + N - 1)^2; its head ends past 2|Im a|.
-For zeta'(0) the Hermitian head ends instead at w >= 7, whatever v, and
+
+zeta'(0) is exact, from ``zeta_H(0, w) = 1/2 - w`` and
+``zeta_H'(0, w) = log Gamma(w) - log(2*pi)/2``, and it is one pass per
+family, with no layout.  A family is two halves, the points q + m of
+q = a~ and q = 1 - a~ (Re a~ in (0, 1]); {a + n} negates its second half, the
+squared families square both.  A half of {a + n} or {(a + n)^2} sums -log
+over its head, m < 1 + ceil(need), where ``_tail_buffer`` proves the winding
+k of the rest constant, and adds its tail at w = q + buf,
+
+    scale * (log Gamma(w) - log(2*pi)/2) - i*pi*k*(1/2 - w);
+
+``log_gamma`` sums the points between w and its Stirling radius with
+principal logs.  The Hermitian head holds positive reals, whose branch angle
+is one number for the whole head (0 at the cut -pi), so it is a sum of real
+logs; its tail starts at w >= 7, whatever v, and
 
     T'(0, w) = 2*(log Gamma(w) - log(2*pi)/2) - sum_{n>=0} h(w + n),  h(x) = log1p(v^2 / x^2),
 
@@ -102,12 +116,14 @@ def _tail_winding(direction: float, cut_value: float) -> int:
     return math.floor((cut_value - direction) / TAU) + 1
 
 
-def _tail_buffer(q: complex, gap: float, halve: bool = False) -> int:
+def _tail_buffer(q: complex, gap: float, halve: bool = False, least: int = 4) -> int:
     """Terms to pull out before the winding of q + m is provably constant.
 
-    That is max(4, 1 + explicit_terms(max(1 - Re q, |Im q| / tan(0.9 * g) - Re q))),
-    with g = min(gap, 1.45), halved with ``halve``.  Every evaluation of a family
-    calls it, so min and max are written out as comparisons, with their results.
+    That is max(least, 1 + explicit_terms(max(1 - Re q, |Im q| / tan(0.9 * g) - Re q))),
+    with g = min(gap, 1.45), halved with ``halve``; the tail then starts at
+    Re w >= 2.  The values keep heads of at least 4 points; zeta'(0) passes
+    ``least`` 0.  Every evaluation of a family calls it, so min and max are
+    written out as comparisons, with their results.
     """
     g = 1.45 if 1.45 < gap else gap
     if halve:
@@ -119,7 +135,7 @@ def _tail_buffer(q: complex, gap: float, halve: bool = False) -> int:
         if far > need:
             need = far
     n = explicit_terms(need) + 1
-    return n if n > 4 else 4
+    return n if n > least else least
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +188,13 @@ def _quad(f: QuadLattice, cut: CutAngle) -> tuple:
     return head, ((1, 2 * _tail_winding(0.0, th), (atil + buf_r, qm + buf_l)),)
 
 
-def _herm(f: HermQuadLattice, cut: CutAngle, deriv: bool) -> tuple:
-    """{|a + n|^2}: the squares of Re a + n, offset by v^2 = (Im a)^2; zeta'(0)'s with ``deriv``."""
+def _herm(f: HermQuadLattice, cut: CutAngle) -> tuple:
+    """{|a + n|^2}: the squares of Re a + n, offset by v^2 = (Im a)^2."""
     atil, _ = _normalize_log_param(f.a)
     head, ws = [], []
     for q in (atil, 1.0 - atil):
-        if deriv:
-            buf = explicit_terms(_HERM_DS0_START - q.real)
-        else:
-            # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
-            buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
+        # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
+        buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
         head += [(abs(q + m) ** 2, 1) for m in range(buf)]
         ws.append(q.real + buf)
     k = 2 * _tail_winding(0.0, cut.normalized)
@@ -195,12 +208,12 @@ _LAYOUTS = {Lattice: _lattice, QuadLattice: _quad}
 # the evaluator
 
 
-def _herm_ds0(v: float, w: float, errs: list) -> float:
+def _herm_tail_ds0(v: float, w: float) -> float:
     """T'(0, w) of the Hermitian tail, w >= 7, as the module docstring sets out.
 
     The Euler-Maclaurin terms of h(x) = log1p(v^2 / x^2) are
-    B_2k/(2k)! * h^(2k-1)(w) = 2*C_k*(Re (w + iv)^(1-2k) - w^(1-2k)).  The error
-    estimate bounds both remainders: the Euler-Maclaurin one by 4*|C_13|*w^-25,
+    B_2k/(2k)! * h^(2k-1)(w) = 2*C_k*(Re (w + iv)^(1-2k) - w^(1-2k)).  Both
+    remainders are bounded together: the Euler-Maclaurin one by 4*|C_13|*w^-25,
     from |h^(26)(x)| <= 4 * 25! * x^-26, and twice Stirling's, 2*|C_14|*w^-27,
     by |C_13|*w^-25; at w = 7 the sum is 8.2e-18.
     """
@@ -210,19 +223,16 @@ def _herm_ds0(v: float, w: float, errs: list) -> float:
     for coef in _STIRLING_COEF:
         total += 2.0 * coef * z.real
         z *= z2
-    errs.append(5.0 * _STIRLING_COEF[-1] * w ** -25)
     return total
 
 
 def _tail(scale: int, v, w, s, errs: list) -> complex:
-    """T(s, w) = sum_j binom(-s, j) v^(2j) zeta_H(scale*s + 2j, w); T'(0, w) when s is None.
+    """T(s, w) = sum_j binom(-s, j) v^(2j) zeta_H(scale*s + 2j, w).
 
-    ``v`` is None for a family without the Hermitian offset.  For values the
-    rungs j >= 1 start at w + N - 1 and their first N - 1 shifts are summed
-    over j in closed form, as the module docstring sets out.
+    ``v`` is None for a family without the Hermitian offset.  The rungs
+    j >= 1 start at w + N - 1 and their first N - 1 shifts are summed over j
+    in closed form, as the module docstring sets out.
     """
-    if s is None:
-        return scale * (log_gamma(w) - _HALF_LOG_TWO_PI) if v is None else _herm_ds0(v, w, errs)
     total, err = _hz(scale * s, w)
     errs.append(err)
     if not v:
@@ -250,7 +260,7 @@ def _tail(scale: int, v, w, s, errs: list) -> complex:
     return total
 
 
-def _family(f: Spectrum, cut: CutAngle, s, eta: bool) -> tuple:
+def _family(f: Spectrum, cut: CutAngle, s: complex, eta: bool) -> tuple:
     """(scale, v, head, tail groups) of a lattice family, refused at a pole; eta's with ``eta``.
 
     v = |Im a| offsets the Hermitian squares; it is None for the other families.
@@ -261,74 +271,135 @@ def _family(f: Spectrum, cut: CutAngle, s, eta: bool) -> tuple:
     scale = f.order
     herm = isinstance(f, HermQuadLattice)
     v = abs(f.a.imag) if herm else None
-    if s is not None:
-        j = 0.5 * (1.0 - scale * s.real)
-        # zeta_H(scale*s + 2j, w) has its pole at 1; beyond j = 0 only a series meets it
-        if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v):
-            raise PoleError(s.real, f"pole at s={s.real:.17g}")
+    j = 0.5 * (1.0 - scale * s.real)
+    # zeta_H(scale*s + 2j, w) has its pole at 1; beyond j = 0 only a series meets it
+    if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v):
+        raise PoleError(s.real, f"pole at s={s.real:.17g}")
     if eta:
         head, groups = _lattice_eta(f, cut)
     elif herm:
-        head, groups = _herm(f, cut, s is None)
+        head, groups = _herm(f, cut)
     else:
         head, groups = _LAYOUTS[type(f)](f, cut)
     return scale, v, head, groups
 
 
-def _evaluate(spec: Spectrum, cut: CutAngle, s=None, eta: bool = False):
-    """(zeta(s), error) of ``spec``, summed over ``decompose(spec)``; zeta'(0) when s is None.
+def _head_sum(head, th: float, ns, polar=None) -> complex:
+    """sum m * lambda^{-s} over the (lambda, m) pairs of ``head``; sum m * log lambda when ns = -s is None.
 
-    Every part takes sum m*pow_cut(head), or -sum m*log_cut(head) and, from
-    zeta_H(0, w) = 1/2 - w, -i*pi*k*sum_w (1/2 - w) per tail group.  A family's
-    part is scaled by its mu; the finite points come last, left out when there
-    are families but no points.  With ``eta``, eta(s).  The log sum is negated
-    once and the parts add from the first, so a lone finite part keeps
-    -sum(m*log) bit for bit, signed zeros included.  Each head point's log is
-    log|v| + i*branch_angle, with the bits of ``log_cut``: a family's head
-    point takes its log-modulus and phase in line and makes one call, to
-    ``branch_angle``; a ``Finite``'s own points read both from the polar form
-    it keeps.
+    Each log is log|lambda| + i*branch_angle, with the bits of ``log_cut``: a
+    point takes its log-modulus and phase in line, or from ``polar``, the
+    (log_moduli, phases) a ``Finite`` keeps, and makes one call, to
+    ``branch_angle``.
+    """
+    total = 0.0 + 0.0j
+    if polar is not None:
+        for (v, m), lm, arg in zip(head, *polar):
+            logv = complex(lm, branch_angle(v, arg, th))
+            total += m * (logv if ns is None else cmath.exp(ns * logv))
+        return total
+    log, atan2 = math.log, math.atan2
+    for v, m in head:
+        try:
+            lm = log(abs(v))
+        except (ValueError, OverflowError):  # 0 is refused, an overflowing |v| halved
+            lm = log_modulus(v)
+        logv = complex(lm, branch_angle(v, atan2(v.imag, v.real), th))
+        total += m * (logv if ns is None else cmath.exp(ns * logv))
+    return total
+
+
+def _evaluate(spec: Spectrum, cut: CutAngle, s: complex, eta: bool = False):
+    """(zeta(s), error) of ``spec``, summed over ``decompose(spec)``; eta(s) with ``eta``.
+
+    Every part takes sum m*pow_cut(head) and its tail groups.  A family's part
+    is scaled by its mu; the finite points come last, left out when there are
+    families but no points.  The parts add from the first.
     """
     families, points = decompose(spec)
-    own = isinstance(spec, Finite) and not eta
+    polar = (spec.log_moduli, spec.phases) if isinstance(spec, Finite) and not eta else None
     if eta:
         points = _eta_signed(points)
     th = cut.normalized
-    ns = None if s is None else -s
-    log, atan2 = math.log, math.atan2
     value = err = None
     for f in families + (None,) if points or not families else families:
-        scale, im, head, groups = (0, None, points, ()) if f is None else _family(f, cut, s, eta)
-        total = 0.0 + 0.0j
-        if f is None and own:
-            for (v, m), lm, arg in zip(head, spec.log_moduli, spec.phases):
-                logv = complex(lm, branch_angle(v, arg, th))
-                total += m * (logv if ns is None else cmath.exp(ns * logv))
+        if f is None:
+            total, part_err = _head_sum(points, th, -s, polar), 0.0
         else:
-            for v, m in head:
-                try:
-                    lm = log(abs(v))
-                except (ValueError, OverflowError):  # 0 is refused, an overflowing |v| halved
-                    lm = log_modulus(v)
-                logv = complex(lm, branch_angle(v, atan2(v.imag, v.real), th))
-                total += m * (logv if ns is None else cmath.exp(ns * logv))
-        if s is None:
-            total = -total
-        errs: list = []
-        for sign, k, ws in groups:
-            tails = 0.0
-            for w in ws:
-                tails += _tail(scale, im, w, s, errs)
-                if s is None:
-                    tails += -1j * _PI * k * (0.5 - w)
-            if s is not None:
+            scale, im, head, groups = _family(f, cut, s, eta)
+            total = _head_sum(head, th, -s)
+            errs: list = []
+            for sign, k, ws in groups:
+                tails = 0.0
+                for w in ws:
+                    tails += _tail(scale, im, w, s, errs)
                 tails *= cmath.exp(-1j * _PI * k * s)
-            total += sign * tails
-        part_err = 0.0
-        if f is not None:
+                total += sign * tails
             total, part_err = f.mu * total, f.mu * sum(errs)
         value, err = (total, part_err) if value is None else (value + total, err + part_err)
     return value, err
+
+
+def _family_ds0(f: Spectrum, th: float) -> complex:
+    """zeta'(0) of one lattice family at the normalized cut ``th``, scaled by its mu.
+
+    One pass over the two halves, the points q + m of q = a~ and of
+    q = 1 - a~, that one taken as (1 - n0) - a, so that a just below an
+    integer keeps its distance to it: each half sums -log over its head and
+    adds its log Gamma tail, as the module docstring sets out.
+    """
+    if type(f) is HermQuadLattice:
+        return _herm_ds0(f, th)
+    atil, n0 = _normalize_log_param(f.a)
+    qm = (1 - n0) - f.a
+    scale = f.order
+    square = scale == 2
+    gap, k = ang_dist(th, 0.0), 2 * _tail_winding(0.0, th)
+    # {a + n} negates its second half, whose tail lies at pi
+    second = (qm, gap, k, False) if square else (qm, ang_dist(th, _PI), 2 * _tail_winding(_PI, th) + 1, True)
+    log, atan2 = math.log, math.atan2
+    total = 0.0 + 0.0j
+    for q, gap, k, negate in ((atil, gap, k, False), second):
+        buf = _tail_buffer(q, gap, square, 0)
+        for m in range(buf):
+            v = q + m
+            if square:
+                v = v * v
+            elif negate:
+                v = -v
+            try:
+                lm = log(abs(v))
+            except (ValueError, OverflowError):  # 0 is refused, an overflowing |v| halved
+                lm = log_modulus(v)
+            total -= complex(lm, branch_angle(v, atan2(v.imag, v.real), th))
+        w = q + buf
+        total += scale * (log_gamma(w) - _HALF_LOG_TWO_PI) - 1j * _PI * k * (0.5 - w)
+    return f.mu * total
+
+
+def _herm_ds0(f: HermQuadLattice, th: float) -> complex:
+    """zeta'(0) of {|a + n|^2} at the normalized cut ``th``, scaled by its mu.
+
+    Every head point is a positive real x, so its log is log x plus the one
+    branch angle of the positive reals, 0 at the cut -pi: the head is a sum
+    of real logs, and it ends where ``_herm_tail_ds0`` may start.
+    """
+    atil, _ = _normalize_log_param(f.a)
+    v = abs(f.a.imag)
+    log = math.log
+    head = tails = wsum = 0.0
+    n = 0
+    for q in (atil, 1.0 - atil):
+        buf = explicit_terms(_HERM_DS0_START - q.real)
+        for m in range(buf):
+            x = abs(q + m) ** 2
+            head += log(x) if x else log_modulus(x)
+        n += buf
+        w = q.real + buf
+        tails += _herm_tail_ds0(v, w)
+        wsum += 0.5 - w
+    k = 2 * _tail_winding(0.0, th)
+    return f.mu * complex(-head + tails, -n * branch_angle(1.0, 0.0, th) - _PI * k * wsum)
 
 
 def _eta_family(f: Spectrum) -> Lattice:
@@ -375,8 +446,24 @@ def zeta_at_zero(spec: Spectrum, theta) -> complex:
 
 
 def zeta_ds_at_zero(spec: Spectrum, theta) -> complex:
-    """zeta_theta'(0, D), assembled exactly (no numerical differentiation)."""
-    return _evaluate(spec, _certified(spec, theta))[0]
+    """zeta_theta'(0, D), assembled exactly (no numerical differentiation).
+
+    The families' parts come first, each from ``_family_ds0``, then
+    -sum m * log lambda over the finite points, left out when there are
+    families but no points; a lone finite part is -sum(m*log) bit for bit,
+    signed zeros included.
+    """
+    th = _certified(spec, theta).normalized
+    families, points = decompose(spec)
+    value = None
+    for f in families:
+        part = _family_ds0(f, th)
+        value = part if value is None else value + part
+    if points or not families:
+        polar = (spec.log_moduli, spec.phases) if isinstance(spec, Finite) else None
+        part = -_head_sum(points, th, None, polar)
+        value = part if value is None else value + part
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,18 @@ class TestRefinedTorsion:
             2 * math.sin(PI / 4) * cmath.exp(1j * PI / 2 * (2 * 0.25 - 1)), abs=1e-8
         )
 
+    def test_rank1_torsion_at_the_rounding_floor(self):
+        # 400 seeded points of the scan strip, Re a in [0.08, 0.92] and |Im a| <= 1.5, against mpmath
+        rng = random.Random(25)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(400):
+                a = complex(rng.uniform(0.08, 0.92), rng.uniform(-1.5, 1.5))
+                exact = 1 - mpmath.exp(2j * mpmath.pi * mpmath.mpc(a.real, a.imag))
+                torsion = refined_torsion(build_rank1(a)).torsion
+                worst = max(worst, float(abs(torsion - exact) / abs(exact)))
+        assert worst <= 1e-14
+
     def test_identity_residual_small(self):
         for a in (0.1, 0.5, 0.9, 0.3 + 0.3j, 0.7 - 0.2j):
             r = refined_torsion(build_rank1(a))
@@ -247,6 +259,19 @@ class TestMonodromy:
     def test_zero_connection(self):
         fam = ConnectionFamily.constant(np.zeros((2, 2)))
         assert np.allclose(monodromy(fam, 64), np.eye(2))
+
+    @pytest.mark.parametrize("drift, periodic", [(0.0, True), (1e-11, True), (1e-9, False)])
+    def test_periodicity_within_its_tolerance(self, drift, periodic):
+        # an entry 0 at x = 0 may reach 1e-10 at 2*pi (np.allclose's atol; its rtol adds nothing
+        # there); an exact match skips the tolerance test
+        def a_form(x, t):
+            return np.array([[0.3j, drift * x / (2.0 * PI)], [0.1, -0.2j]])
+
+        if periodic:
+            assert ConnectionFamily(a_form, 2).dim == 2
+        else:
+            with pytest.raises(ValueError, match="2\\*pi-periodic"):
+                ConnectionFamily(a_form, 2)
 
     def test_constant_scalar(self):
         a = 0.3 - 0.2j

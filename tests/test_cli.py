@@ -249,10 +249,13 @@ class TestCommands:
             zetafun.zeta_ds_at_zero(other, theta)
             zetafun.spectral_zeta(other, theta, 2.0)
             assert len(calls) == certified
-        # the finite verify's cut comes from its config, so each of D, D^2 and D at theta - pi is certified
-        calls.clear()
-        run(_job("verify", {"type": "finite", "eigenvalues": [{"re": 1.0, "im": 0.5}, {"re": 2.0}]}))
-        assert len(calls) == 3
+        # a finite or lattice verify's cut comes from its config, so each of D, D^2 and D at theta - pi is
+        # certified once: D^2's zeta'(0) and zeta(0) share one certificate
+        for model in ({"type": "finite", "eigenvalues": [{"re": 1.0, "im": 0.5}, {"re": 2.0}]},
+                      {"type": "lattice", "a": {"re": 0.3, "im": 0.2}}):
+            calls.clear()
+            run(_job("verify", model))
+            assert len(calls) == 3
 
     @pytest.mark.parametrize(
         "eigenvalues, code",
@@ -334,6 +337,16 @@ class TestCommands:
             )
         )
         assert res["results"]["det"]["re"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("a", [1e-17, -1e-17, 1e-300, -1e-300])
+    def test_det_of_a_lattice_next_to_zero(self, monkeypatch, capsys, a):
+        # a + 1 rounds to 1.0 for the negative a; the point a itself must still reach the head
+        job = {"command": "det", "model": {"type": "lattice", "a": {"re": a}}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["det", "--config", "-"]) == 0
+        det = json.loads(capsys.readouterr().out)["results"]["det"]
+        # 1 - e^(2*pi*i*a), to the rounding of exp(ldet), |ldet| up to 689
+        assert complex(det["re"], det["im"]) == pytest.approx(-2j * PI * a, rel=1e-12)
 
     def test_monodromy_command(self):
         res = run(

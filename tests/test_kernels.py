@@ -90,4 +90,4 @@ class TestLogGammaKernel:
                     z = complex(width * (1.0 - rng.random()), rng.uniform(-height, height))
                     ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
                     worst = max(worst, float(abs(impl.log_gamma(z) - ref) / max(1, abs(ref))))
-        assert worst <= 2e-14
+        assert worst <= 5e-15
