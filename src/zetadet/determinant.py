@@ -32,7 +32,7 @@ from .spectrum import (
     negate_spectrum,
     square_spectrum,
 )
-from .zetafun import eta_invariant, spectral_zeta, zeta_ds_at_zero
+from .zetafun import eta_invariant, zeta_ds_at_zero
 
 _PI = math.pi
 _HALF_PI = 0.5 * _PI
@@ -135,19 +135,16 @@ def _cut_in_range(theta, caller: str) -> CutAngle:
 def _square_side(spec: Spectrum, cut: CutAngle):
     """zeta'_{2theta}(0, D^2), eta(D), zeta_{2theta}(0, D^2) and m_-(D): the side built from D^2.
 
-    D^2 is certified once, and both of its zeta calls take the certificate.
-    Without lattice families zeta(0) is the multiplicity count, summed as the
-    evaluator sums m * lambda^0, signed zeros included.  One
-    ``imaginary_axis_counts`` pass gives eta its (m_+, m_-) and the
+    D^2 is certified once, for its zeta'(0).  zeta(0) counts the finite points'
+    multiplicities: a family's half-lines q + m add (1/2 - q1) + (1/2 - q2) = 0.
+    One ``imaginary_axis_counts`` pass gives eta its (m_+, m_-) and the
     factorization its m_-."""
     square = square_spectrum(spec)
     cut2 = certify_agmon(square, cut.doubled(), AGMON_EPSILON)
     dz_sq = zeta_ds_at_zero(square, cut2)
     counts = imaginary_axis_counts(spec)
     eta = eta_invariant(spec, counts)
-    families, points = decompose(square)
-    z0 = (spectral_zeta(square, cut2, 0.0).value if families
-          else complex(sum(float(m) for _, m in points)))
+    z0 = complex(sum(float(m) for _, m in decompose(square)[1]))
     return dz_sq, eta, z0, counts[1]
 
 

@@ -593,7 +593,8 @@ def square_spectrum(spec: Spectrum) -> Spectrum:
     Squares merge by ``merge_key``, which the square keeps as its own keys;
     its polar form is taken of the squares themselves, not doubled from the
     roots'.  A lattice is refused when its eigenvalue nearest 0,
-    a - round(Re a), squares to 0.
+    a - round(Re a), squares to 0, or when a~ = a + n0, which the squares
+    store, rounds onto an integer.
     """
 
     def finite(spec: Finite) -> Finite:
@@ -606,7 +607,10 @@ def square_spectrum(spec: Spectrum) -> Spectrum:
     def lattice(f: Lattice):
         _square(f.a - round(f.a.real))
         # QuadLattice stores a + n0, so (a + n)^2 sits at its index n - n0
-        _, n0 = _normalize_log_param(f.a)
+        atil, n0 = _normalize_log_param(f.a)
+        if dist_to_integers(atil) <= 0.0:
+            raise DomainError(f"lattice parameter {f.a} is within rounding of an integer: "
+                              f"its squares store a + {n0}, which rounds to {atil.real:g}")
         return QuadLattice(f.a, f.mu), lambda n: n - n0
 
     return _map_spectrum(spec, "squaring", finite, lattice)

@@ -1,14 +1,23 @@
 """Spectral zeta and eta functions via analytic continuation.
 
+A lattice family ({a + n}, its squares {(a + n)^2}, the Hermitian
+{|a + n|^2}) is two half-lines, the points q + m, m >= 0, of q = a~ and of
+q = 1 - a~ (Re a~ in (0, 1]); ``_halves`` gives both origins, the second as
+(1 - n0) - a, so that a just below an integer keeps its distance to it.
+{a + n} negates its second half, the squared families square both.  A half
+has zeta_H(0, q) = 1/2 - q and zeta_H'(0, q) = log Gamma(q) - log(2*pi)/2.
+zeta(s), eta(s), zeta'(0) and eta(0) all read ``_halves``, and the zeta(0)
+of a square is exactly 0 per family, since its origins sum to 1.
+
 One evaluator sums zeta(s) and eta(s) over every part of
 ``spectrum.decompose(spec)``: a head of ``(point, weight)`` pairs near the
 origin, summed with exact cut branches, and tail groups ``(sign, k, (w, ...))``
-of far tails with constant winding.
-A lattice family ({a + n}, its squares {(a + n)^2}, the Hermitian {|a + n|^2})
-is its layout, head points at weight m = 1, scaled by its mu; the finite points
-are one more head, weighted by their multiplicities, with no tails and no mu.
-The Hurwitz scale is the growth order, 1 for {a + n} and 2 for the squares,
-and v^2 is (Im a)^2 for the Hermitian family and 0 otherwise.  zeta(s) is
+of far tails with constant winding.  A family's part is its layout, the heads
+of both halves at weight m = 1 and then their tails, scaled by its mu; the
+finite points are one more head, weighted by their multiplicities, with no
+tails and no mu.  The Hurwitz scale is the growth order, 1 for {a + n} and 2
+for the squares, and v^2 is (Im a)^2 for the Hermitian family and 0
+otherwise.  zeta(s) is
 
     sum m * lambda^{-s} + sum sign * exp(-i*pi*k*s) * sum_w T(s, w),
     T(s, w) = sum_j binom(-s, j) * v^(2j) * zeta_H(scale*s + 2j, w),
@@ -23,13 +32,10 @@ closed form,
 with x_k = v^2 / (w + k)^2, so every rung keeps its remainder at w + N and the
 series converges at the ratio v^2 / (w + N - 1)^2; its head ends past 2|Im a|.
 
-zeta'(0) is exact, from ``zeta_H(0, w) = 1/2 - w`` and
-``zeta_H'(0, w) = log Gamma(w) - log(2*pi)/2``, and it is one pass per
-family, with no layout.  A family is two halves, the points q + m of
-q = a~ and q = 1 - a~ (Re a~ in (0, 1]); {a + n} negates its second half, the
-squared families square both.  A half of {a + n} or {(a + n)^2} sums -log
-over its head, m < 1 + ceil(need), where ``_tail_buffer`` proves the winding
-k of the rest constant, and adds its tail at w = q + buf,
+zeta'(0) is exact and one pass per family, with no layout.  A half of {a + n}
+or {(a + n)^2} sums -log over its head, m < 1 + ceil(need), where
+``_tail_buffer`` proves the winding k of the rest constant, and adds its tail
+at w = q + buf,
 
     scale * (log Gamma(w) - log(2*pi)/2) - i*pi*k*(1/2 - w);
 
@@ -69,7 +75,6 @@ from .spectrum import (
     Finite,
     HermQuadLattice,
     Lattice,
-    QuadLattice,
     Spectrum,
     _normalize_log_param,
     certify_agmon,
@@ -142,16 +147,10 @@ def _tail_buffer(q: complex, gap: float, halve: bool = False, least: int = 4) ->
 # layouts: each lattice family as a head of (point, weight) pairs plus Hurwitz tail groups
 
 
-def _lattice(f: Lattice, cut: CutAngle) -> tuple:
-    """{a + n}: right points a~ + m and left points -(1 - a~ + m), Re a~ in (0, 1]."""
-    atil, _ = _normalize_log_param(f.a)
-    qm = 1.0 - atil
-    th = cut.normalized
-    buf_r = _tail_buffer(atil, ang_dist(th, 0.0))
-    buf_l = _tail_buffer(qm, ang_dist(th, _PI))
-    head = [(atil + m, 1) for m in range(buf_r)] + [(-(qm + m), 1) for m in range(buf_l)]
-    k_r, k_l = 2 * _tail_winding(0.0, th), 2 * _tail_winding(_PI, th) + 1
-    return head, ((1, k_r, (atil + buf_r,)), (1, k_l, (qm + buf_l,)))
+def _halves(f: Spectrum) -> tuple:
+    """The origins q of a family's two half-lines q + m: a~ and 1 - a~, taken as (1 - n0) - a."""
+    atil, n0 = _normalize_log_param(f.a)
+    return atil, (1 - n0) - f.a
 
 
 def _eta_signed(points) -> list:
@@ -165,43 +164,33 @@ def _eta_signed(points) -> list:
     return signed
 
 
-def _lattice_eta(f: Lattice, cut: CutAngle) -> tuple:
-    """{a + n} for eta: the sign rule on the head; the left tail negated onto the tail at 0."""
-    atil, _ = _normalize_log_param(f.a)
-    qm = 1.0 - atil
-    th = cut.normalized
-    gap = ang_dist(th, 0.0)
-    buf_r, buf_l = _tail_buffer(atil, gap), _tail_buffer(qm, gap)
-    head = _eta_signed([(atil + m, 1) for m in range(buf_r)] + [(-(qm + m), 1) for m in range(buf_l)])
-    k = 2 * _tail_winding(0.0, th)
-    return head, ((1, k, (atil + buf_r,)), (-1, k, (qm + buf_l,)))
+def _layout(f: Spectrum, th: float, eta: bool) -> tuple:
+    """(head, tail groups) of a lattice family at the normalized cut ``th``; eta's with ``eta``.
 
-
-def _quad(f: QuadLattice, cut: CutAngle) -> tuple:
-    """{(a + n)^2}: both halves of the lattice square onto the tail at 0."""
-    atil, _ = _normalize_log_param(f.a)
-    qm = 1.0 - atil
-    th = cut.normalized
-    gap = ang_dist(th, 0.0)
-    buf_r, buf_l = _tail_buffer(atil, gap, halve=True), _tail_buffer(qm, gap, halve=True)
-    head = [((atil + m) ** 2, 1) for m in range(buf_r)] + [((qm + m) ** 2, 1) for m in range(buf_l)]
-    return head, ((1, 2 * _tail_winding(0.0, th), (atil + buf_r, qm + buf_l)),)
-
-
-def _herm(f: HermQuadLattice, cut: CutAngle) -> tuple:
-    """{|a + n|^2}: the squares of Re a + n, offset by v^2 = (Im a)^2."""
-    atil, _ = _normalize_log_param(f.a)
+    The heads of both halves come first.  {a + n} negates its second half,
+    whose tail lies at pi; for eta the sign rule takes the head and that tail
+    is negated onto the tail at 0, with sign -1.  The squared families share
+    one group at 0; the Hermitian one buffers for its binomial series and has
+    real tail points.
+    """
+    gap, k = ang_dist(th, 0.0), 2 * _tail_winding(0.0, th)
+    square, herm = f.order == 2, type(f) is HermQuadLattice
     head, ws = [], []
-    for q in (atil, 1.0 - atil):
-        # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
-        buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
-        head += [(abs(q + m) ** 2, 1) for m in range(buf)]
-        ws.append(q.real + buf)
-    k = 2 * _tail_winding(0.0, cut.normalized)
-    return head, ((1, k, tuple(ws)),)
-
-
-_LAYOUTS = {Lattice: _lattice, QuadLattice: _quad}
+    for q, left in zip(_halves(f), (False, not square)):
+        if herm:
+            # the binomial series needs (Im q / (Re q + buf))^2 < 1/4 and Re q + buf >= 1
+            buf = max(4, explicit_terms(2.0 * abs(q.imag) + 1.0 - q.real) + 1)
+            head += [(abs(q + m) ** 2, 1) for m in range(buf)]
+            ws.append(q.real + buf)
+            continue
+        buf = _tail_buffer(q, ang_dist(th, _PI) if left and not eta else gap, square)
+        head += [((q + m) ** 2 if square else -(q + m) if left else q + m, 1) for m in range(buf)]
+        ws.append(q + buf)
+    if square:
+        return head, ((1, k, ws),)
+    if eta:
+        return _eta_signed(head), ((1, k, ws[:1]), (-1, k, ws[1:]))
+    return head, ((1, k, ws[:1]), (1, 2 * _tail_winding(_PI, th) + 1, ws[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +264,7 @@ def _family(f: Spectrum, cut: CutAngle, s: complex, eta: bool) -> tuple:
     # zeta_H(scale*s + 2j, w) has its pole at 1; beyond j = 0 only a series meets it
     if s.imag == 0.0 and j >= 0.0 and j == round(j) and (j == 0.0 or v):
         raise PoleError(s.real, f"pole at s={s.real:.17g}")
-    if eta:
-        head, groups = _lattice_eta(f, cut)
-    elif herm:
-        head, groups = _herm(f, cut)
-    else:
-        head, groups = _LAYOUTS[type(f)](f, cut)
+    head, groups = _layout(f, cut.normalized, eta)
     return scale, v, head, groups
 
 
@@ -343,15 +327,12 @@ def _evaluate(spec: Spectrum, cut: CutAngle, s: complex, eta: bool = False):
 def _family_ds0(f: Spectrum, th: float) -> complex:
     """zeta'(0) of one lattice family at the normalized cut ``th``, scaled by its mu.
 
-    One pass over the two halves, the points q + m of q = a~ and of
-    q = 1 - a~, that one taken as (1 - n0) - a, so that a just below an
-    integer keeps its distance to it: each half sums -log over its head and
-    adds its log Gamma tail, as the module docstring sets out.
+    One pass over the two halves: each sums -log over its head and adds its
+    log Gamma tail, as the module docstring sets out.
     """
     if type(f) is HermQuadLattice:
         return _herm_ds0(f, th)
-    atil, n0 = _normalize_log_param(f.a)
-    qm = (1 - n0) - f.a
+    atil, qm = _halves(f)
     scale = f.order
     square = scale == 2
     gap, k = ang_dist(th, 0.0), 2 * _tail_winding(0.0, th)
@@ -384,12 +365,11 @@ def _herm_ds0(f: HermQuadLattice, th: float) -> complex:
     branch angle of the positive reals, 0 at the cut -pi: the head is a sum
     of real logs, and it ends where ``_herm_tail_ds0`` may start.
     """
-    atil, _ = _normalize_log_param(f.a)
     v = abs(f.a.imag)
     log = math.log
     head = tails = wsum = 0.0
     n = 0
-    for q in (atil, 1.0 - atil):
+    for q in _halves(f):
         buf = explicit_terms(_HERM_DS0_START - q.real)
         for m in range(buf):
             x = abs(q + m) ** 2
@@ -409,10 +389,9 @@ def _eta_family(f: Spectrum) -> Lattice:
 
 
 def _lat_eta0(f: Lattice) -> complex:
-    atil, _ = _normalize_log_param(f.a)
-    skip_r = 1 if atil.real <= IMAG_AXIS else 0
-    skip_l = 1 if (1.0 - atil).real <= IMAG_AXIS else 0
-    return f.mu * (1.0 - 2.0 * atil - skip_r + skip_l)
+    """zeta_H(0, a~) - zeta_H(0, 1 - a~), less each origin the sign rule leaves on the imaginary axis."""
+    atil, qm = _halves(f)
+    return f.mu * (1.0 - 2.0 * atil - (atil.real <= IMAG_AXIS) + (qm.real <= IMAG_AXIS))
 
 
 def _certified(spec: Spectrum, theta) -> CutAngle:

@@ -187,8 +187,8 @@ class TestCommands:
             monkeypatch.setattr(module, "certify_agmon", certify)
             monkeypatch.setattr(module, "imaginary_axis_counts", axis_counts)
         monkeypatch.setattr(zetafun, "branch_angle", counted("branch_angle", zetafun.branch_angle))
-        # zeta_{2theta}(0, D^2) of a finite spectrum is its multiplicity count, summed without powers
-        monkeypatch.setattr(determinant, "spectral_zeta", lambda *args: pytest.fail("spectral_zeta called"))
+        # zeta_{2theta}(0, D^2) is its multiplicity count, summed without powers: the evaluator never runs
+        monkeypatch.setattr(zetafun, "_evaluate", lambda *args: pytest.fail("the zeta(s) evaluator ran"))
         model = {"type": "finite", "eigenvalues": [{"re": v.real, "im": v.imag} for v in values]}
         # a phase is one math.atan2 call and a log-modulus one math.log call; count them over the job
         monkeypatch.setattr(math, "atan2", counted("atan2", math.atan2))
@@ -347,6 +347,23 @@ class TestCommands:
         det = json.loads(capsys.readouterr().out)["results"]["det"]
         # 1 - e^(2*pi*i*a), to the rounding of exp(ldet), |ldet| up to 689
         assert complex(det["re"], det["im"]) == pytest.approx(-2j * PI * a, rel=1e-12)
+
+    def test_zeta_of_a_lattice_just_below_an_integer(self, monkeypatch, capsys):
+        # a + 1 rounds to 1.0; the half-line 1 - a~ is taken as 1 - a, so the point a stays off 0
+        job = {"command": "zeta", "model": {"type": "lattice", "a": {"re": -1e-17}}, "params": {"s": {"re": 2.0}}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["zeta", "--config", "-"]) == 0
+        value = json.loads(capsys.readouterr().out)["results"]["value"]
+        # pi^2 / sin^2(pi*a) = 1e34 to 34 digits
+        assert complex(value["re"], value["im"]) == pytest.approx(1e34, rel=1e-14)
+
+    def test_verify_of_a_lattice_just_below_an_integer(self, monkeypatch, capsys):
+        # the squares store a + 1, which rounds to 1.0: refused as a domain error that names a
+        job = {"command": "verify", "model": {"type": "lattice", "a": {"re": -1e-17}}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(job)))
+        assert main(["verify", "--config", "-"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "Domain" and "(-1e-17+0j)" in error["message"]
 
     def test_monodromy_command(self):
         res = run(

@@ -187,7 +187,8 @@ def test_cut_range_jobs_fall_on_their_sides(tmp_path, monkeypatch):
 
 
 def test_hypothesis_jobs_name_their_witness(tmp_path, monkeypatch):
-    recs = _edge_records(tmp_path, monkeypatch)[-len(cli_outputs.HYPOTHESIS_JOBS):]
+    start = len(cli_outputs.EDGE_JOBS) - len(cli_outputs.HYPOTHESIS_JOBS) - len(cli_outputs.NEAR_INTEGER_JOBS)
+    recs = _edge_records(tmp_path, monkeypatch)[start:start + len(cli_outputs.HYPOTHESIS_JOBS)]
     errors = [json.loads(r["stderr"])["error"] for r in recs]
     assert [(r["exit"], e["code"]) for r, e in zip(recs, errors)] == [(2, "HypothesisViolated")] * 2
     # the first point listed is the witness: in (-pi/2, -pi/4], then in (pi/2, 3*pi/4]
@@ -197,6 +198,18 @@ def test_hypothesis_jobs_name_their_witness(tmp_path, monkeypatch):
     assert errors[1]["message"] == (
         f"eigenvalue (-0.8322937+1.8185949j) lies in the hypothesis sector ({math.pi / 2}, {-math.pi / 4 + math.pi}]"
     )
+
+
+def test_near_integer_jobs_keep_their_distance(tmp_path, monkeypatch):
+    recs = _edge_records(tmp_path, monkeypatch)[-len(cli_outputs.NEAR_INTEGER_JOBS):]
+    assert [r["exit"] for r in recs] == [0, 0, 2]
+    # zeta(2) = pi^2 / sin^2(pi*a) at a = -1e-10, and zeta(0) = 0
+    values = [json.loads(r["stdout"])["results"]["value"] for r in recs[:2]]
+    assert complex(values[0]["re"], values[0]["im"]) == pytest.approx(1e20 + math.pi**2 / 3, rel=1e-14)
+    assert values[1] == {"re": 0.0, "im": 0.0}
+    # verify squares the lattice, whose a + 1 rounds to 1.0: refused, naming a
+    error = json.loads(recs[2]["stderr"])["error"]
+    assert error["code"] == "Domain" and "(-1e-17+0j)" in error["message"]
 
 
 def test_command_lines_are_recorded_with_their_exit_codes(tmp_path, monkeypatch, capsys):

@@ -232,6 +232,33 @@ class TestVerifySpectrum:
         assert str(one_pass.value) == str(lower.value)
 
 
+class TestSquareZetaAtZero:
+    """zeta_{2theta}(0, D^2) is the finite multiplicity: each family's two half-lines add exactly 0."""
+
+    def test_lattice_verify_makes_no_hurwitz_call(self, monkeypatch):
+        import zetadet.zetafun as zetafun
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hurwitz(*args)
+
+        hurwitz = zetafun.hurwitz_zeta_raw
+        monkeypatch.setattr(zetafun, "hurwitz_zeta_raw", counted)
+        spec = Lattice(0.3 + 0.2j)
+        verify_spectrum(spec, pick_det_eta_cut(spec))
+        assert calls == []
+
+    def test_finite_multiplicity_beside_a_lattice(self):
+        spec = DirectSum((Lattice(0.3 + 0.2j), Finite.of(2, 3)))
+        cut = pick_det_eta_cut(spec)
+        lower, upper, _ = verify_spectrum(spec, cut)
+        assert lower.zeta_zero_square == upper.zeta_zero_square == 2.0
+        # the evaluator's zeta(0), to its rounding
+        assert spectral_zeta(square_spectrum(spec), cut.doubled(), 0.0).value == pytest.approx(2.0, abs=1e-12)
+
+
 class TestAngleShift:
     def test_counts_imaginary_pair(self):
         spec = Finite((Eigenvalue(1j, 2),))

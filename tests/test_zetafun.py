@@ -301,6 +301,29 @@ class TestEta:
                 assert v == pytest.approx(vals[0], abs=1e-11)
 
 
+class TestNearIntegerLattice:
+    """a just below an integer: the half-line 1 - a~ is (1 - n0) - a, not 1 minus the rounded a + n0."""
+
+    @pytest.mark.parametrize("a", [-1e-10, -1e-13, 2 - 1e-9])
+    def test_zeta_at_two_against_mpmath(self, a):
+        with mpmath.workdps(40):
+            ref = complex(mpmath.pi**2 / mpmath.sin(mpmath.pi * mpmath.mpf(a)) ** 2)
+        assert spectral_zeta(Lattice(a), -0.7, 2.0).value == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [-1e-10, -1e-13, 2 - 1e-9])
+    def test_eta_at_two_against_mpmath(self, a):
+        with mpmath.workdps(40):
+            atil = mpmath.mpf(a) + (1 - math.ceil(a))
+            right, left = mpmath.zeta(2, atil), mpmath.zeta(2, 1 - atil)
+            if 1 - atil <= IMAG_AXIS:
+                # the sign rule leaves out the point -(1 - a~) on the imaginary axis
+                left -= (1 - atil) ** -2
+            ref, size = complex(right - left), float(abs(right) + abs(left))
+        # without that point the halves cancel to 5e-13 at a = -1e-13, where the
+        # rounding of a~ = a + 1 alone moves eta by 1e-16: the bound scales with the halves
+        assert abs(eta_function(Lattice(a), -0.7, 2.0) - ref) <= 1e-14 * size
+
+
 class TestRestrictedSquareZeta:
     def test_restricted_square_nonzero_at_origin(self):
         from zetadet import square_spectrum

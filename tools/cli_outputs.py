@@ -87,7 +87,17 @@ HYPOTHESIS_JOBS = (
     {"schemaVersion": 1, "command": "verify", "model": _finite(0.5349961 - 1.9271156j, 0.3 - 1.9j)},
     {"schemaVersion": 1, "command": "verify", "model": _finite(-0.8322937 + 1.8185949j, 3)},
 )
-EDGE_JOBS = ZERO_JOBS + CONSTANT_JOBS + CUT_RANGE_JOBS + HYPOTHESIS_JOBS
+# NEAR_INTEGER_JOBS: lattices just below an integer, where a + n0 rounds: zeta
+# at s = 2 next to -1e-10, where it loses its distance to 0, and zeta and
+# verify at -1e-17, where it rounds to 1.0.
+_NEAR_ZERO = {"type": "lattice", "a": {"re": -1e-17, "im": 0.0}}
+NEAR_INTEGER_JOBS = (
+    {"schemaVersion": 1, "command": "zeta", "model": {"type": "lattice", "a": {"re": -1e-10, "im": 0.0}},
+     "params": {"s": {"re": 2.0, "im": 0.0}}},
+    {"schemaVersion": 1, "command": "zeta", "model": _NEAR_ZERO},
+    {"schemaVersion": 1, "command": "verify", "model": _NEAR_ZERO},
+)
+EDGE_JOBS = ZERO_JOBS + CONSTANT_JOBS + CUT_RANGE_JOBS + HYPOTHESIS_JOBS + NEAR_INTEGER_JOBS
 # ARGV_CASES: command lines around ARGV_JOB, which they read from stdin, recorded
 # as workload "argv".  The first eight are forms of ["eta", "--config", "-"] and
 # the next two ask for help, all exiting 0; the last five exit 2 with bad-args.
